@@ -62,40 +62,6 @@ def movable_unit(scene, el, axis: str):
     return cur
 
 
-def resolve_selection(scene, selection) -> list:
-    """Element list from ids, objects, or a stored declarative filter."""
-    if isinstance(selection, dict):
-        if "peer_set" in selection:
-            ps = scene.peer_sets.get(selection["peer_set"])
-            out = [scene.resolve(m) for m in (ps.members if ps else [])
-                   if _known(scene, m)]
-        else:
-            out = []
-            for root in resolve_selection(scene, selection["from"]):
-                out.extend(scene.descendant_marks(root) or [root])
-        where = selection.get("where")
-        if where:
-            out = [e for e in out
-                   if e.data_scope is not None
-                   and scene.get_scope_value(e, where["attribute"]) == where["value"]]
-        return out
-    if isinstance(selection, (list, tuple)):
-        flat = []
-        for item in selection:
-            flat.extend(resolve_selection(scene, item))
-        return flat
-    el = scene.resolve(selection)
-    return [el]
-
-
-def _known(scene, el_id: str) -> bool:
-    try:
-        scene.resolve(el_id)
-        return True
-    except Exception:
-        return False
-
-
 def _expand_pairing_units(scene, elements):
     """Collections flatten to their pairing units (marks/glyphs); marks and
     glyphs pass through."""
@@ -134,11 +100,11 @@ def position_claims(scene, axis: str) -> set:
     claimed = set()
     for spec in scene.constraints.values():
         if spec.kind == "align" and edge_axis(spec.params["edge"]) == axis:
-            for el in resolve_selection(scene, spec.params["targets"]):
+            for el in scene.select(spec.params["targets"]):
                 claimed.add(movable_unit(scene, el, axis).id)
         elif spec.kind == "affix":
             for el in _expand_pairing_units(
-                    scene, resolve_selection(scene, spec.params["followers"])):
+                    scene, scene.select(spec.params["followers"])):
                 claimed.add(el.id)
     return claimed
 
@@ -155,7 +121,7 @@ def _reject_encoded_positions(scene, units, axis):
 def align(scene, targets, edge: str) -> ConstraintSpec:
     if edge not in EDGES:
         raise ConstraintError(f"unknown alignment edge {edge!r}")
-    elements = resolve_selection(scene, targets)
+    elements = scene.select(targets)
     if not elements:
         raise ConstraintError("alignment needs at least one target")
     axis = edge_axis(edge)
@@ -181,7 +147,7 @@ def _check_alignment_conflicts(scene, units, axis):
     for other in scene.constraints.values():
         if other.kind != "align" or edge_axis(other.params["edge"]) != axis:
             continue
-        existing = resolve_selection(scene, other.params["targets"])
+        existing = scene.select(other.params["targets"])
         other_units = {movable_unit(scene, e, axis).id for e in existing}
         if unit_ids & other_units:
             raise ConstraintError(
@@ -189,8 +155,8 @@ def _check_alignment_conflicts(scene, units, axis):
                 f"driven by alignment {other.id}")
 
 
-def evaluate_align(scene, spec: ConstraintSpec):
-    elements = resolve_selection(scene, spec.params["targets"])
+def evaluate_align(scene, spec: ConstraintSpec, *, write: bool):
+    elements = scene.select(spec.params["targets"])
     if len(elements) < 2:
         return set(), None
     edge = spec.params["edge"]
@@ -212,9 +178,9 @@ def evaluate_align(scene, spec: ConstraintSpec):
     moved = set()
     for unit_id, delta in deltas.items():
         if abs(delta) > TOLERANCE:
-            unit = scene.elements[unit_id]
-            scene.translate(unit, delta if axis == "x" else 0,
-                            delta if axis == "y" else 0, touch=False)
+            if write:
+                scene.translate(scene.elements[unit_id], delta if axis == "x" else 0,
+                                delta if axis == "y" else 0, touch=False)
             moved.add(unit_id)
     return moved, None
 
@@ -226,8 +192,8 @@ def affix(scene, followers, anchors, anchor_point: str = "center",
           dx: float = 0.0, dy: float = 0.0) -> ConstraintSpec:
     if anchor_point not in ANCHOR_POINTS:
         raise ConstraintError(f"unknown anchor point {anchor_point!r}")
-    follower_units = _expand_pairing_units(scene, resolve_selection(scene, followers))
-    anchor_units = _expand_pairing_units(scene, resolve_selection(scene, anchors))
+    follower_units = _expand_pairing_units(scene, scene.select(followers))
+    anchor_units = _expand_pairing_units(scene, scene.select(anchors))
     _pair(scene, follower_units, anchor_units)  # validates now
     _release_followers(scene, follower_units)
     _reject_encoded_positions(scene, follower_units, "x")
@@ -290,11 +256,11 @@ def _pair(scene, follower_units, anchor_units):
     return pairs
 
 
-def evaluate_affix(scene, spec: ConstraintSpec):
+def evaluate_affix(scene, spec: ConstraintSpec, *, write: bool):
     followers = _expand_pairing_units(
-        scene, resolve_selection(scene, spec.params["followers"]))
+        scene, scene.select(spec.params["followers"]))
     anchors = _expand_pairing_units(
-        scene, resolve_selection(scene, spec.params["anchors"]))
+        scene, scene.select(spec.params["anchors"]))
     try:
         pairs = _pair(scene, followers, anchors)
     except ConstraintError as e:
@@ -307,7 +273,8 @@ def evaluate_affix(scene, spec: ConstraintSpec):
         fx, fy = bbox_point(scene.bbox(follower), point)
         ddx, ddy = ax + dx - fx, ay + dy - fy
         if abs(ddx) > TOLERANCE or abs(ddy) > TOLERANCE:
-            scene.translate(follower, ddx, ddy, touch=False)
+            if write:
+                scene.translate(follower, ddx, ddy, touch=False)
             moved.add(follower.id)
     return moved, None
 
@@ -354,7 +321,7 @@ def _order_key(scene, member, key: dict):
     return value
 
 
-def evaluate_order(scene, spec: ConstraintSpec):
+def evaluate_order(scene, spec: ConstraintSpec, *, write: bool):
     group = scene.elements.get(spec.params["group"])
     if group is None:
         return set(), f"ordering {spec.id} lost its group"
@@ -368,13 +335,14 @@ def evaluate_order(scene, spec: ConstraintSpec):
     keyed.sort(key=lambda t: t[0], reverse=spec.params["direction"] == "descending")
     new_order = [mid for _, _, mid in keyed]
     if new_order != group.members:
-        group.members = new_order
+        if write:
+            group.members = new_order
         return {group.id}, None
     return set(), None
 
 
 def set_z_order(scene, elements, z_values) -> ConstraintSpec:
-    els = resolve_selection(scene, elements)
+    els = scene.select(elements)
     if len(els) != len(z_values):
         raise ConstraintError("set_z_order needs one z value per element")
     spec = ConstraintSpec(scene.make_id("con"), "z_order", {
@@ -386,12 +354,13 @@ def set_z_order(scene, elements, z_values) -> ConstraintSpec:
     return spec
 
 
-def evaluate_z_order(scene, spec: ConstraintSpec):
+def evaluate_z_order(scene, spec: ConstraintSpec, *, write: bool):
     changed = set()
     for el_id, z in zip(spec.params["elements"], spec.params["z"]):
         el = scene.elements.get(el_id)
         if el is not None and el.z_index != z:
-            el.z_index = z
+            if write:
+                el.z_index = z
             changed.add(el_id)
     return changed, None
 
@@ -399,16 +368,18 @@ def evaluate_z_order(scene, spec: ConstraintSpec):
 # --------------------------------------------------------------- evaluation
 
 
-def evaluate_constraint(scene, spec: ConstraintSpec):
-    """Returns (moved element ids, problem or None)."""
+def evaluate_constraint(scene, spec: ConstraintSpec, *, write: bool):
+    """Returns (moved element ids, problem or None). With ``write=False``
+    nothing changes and the ids are those a real run would move, so an
+    empty set with no problem means the constraint holds."""
     if spec.kind == "align":
-        return evaluate_align(scene, spec)
+        return evaluate_align(scene, spec, write=write)
     if spec.kind == "affix":
-        return evaluate_affix(scene, spec)
+        return evaluate_affix(scene, spec, write=write)
     if spec.kind == "order":
-        return evaluate_order(scene, spec)
+        return evaluate_order(scene, spec, write=write)
     if spec.kind == "z_order":
-        return evaluate_z_order(scene, spec)
+        return evaluate_z_order(scene, spec, write=write)
     raise ConstraintError(f"unknown constraint kind {spec.kind!r}")
 
 
@@ -416,13 +387,13 @@ def constraint_elements(scene, spec: ConstraintSpec) -> set:
     """Ids the constraint reads or writes, for dirtiness tracking."""
     try:
         if spec.kind == "align":
-            els = resolve_selection(scene, spec.params["targets"])
+            els = scene.select(spec.params["targets"])
             axis = edge_axis(spec.params["edge"])
             units = [movable_unit(scene, e, axis) for e in els]
             return {e.id for e in els} | {u.id for u in units}
         if spec.kind == "affix":
-            els = resolve_selection(scene, spec.params["followers"])
-            els += resolve_selection(scene, spec.params["anchors"])
+            els = scene.select(spec.params["followers"])
+            els += scene.select(spec.params["anchors"])
             return {e.id for e in els}
         if spec.kind == "order":
             group = scene.elements.get(spec.params["group"])
@@ -434,56 +405,3 @@ def constraint_elements(scene, spec: ConstraintSpec) -> set:
     except Exception:
         return set()
     return set()
-
-
-def check_satisfaction(scene, spec: ConstraintSpec, tolerance: float = TOLERANCE):
-    """True when the relation currently holds (used by validation)."""
-    if spec.kind == "align":
-        elements = resolve_selection(scene, spec.params["targets"])
-        edge = spec.params["edge"]
-        values = [edge_value(scene.bbox(el), edge) for el in elements]
-        return (max(values) - min(values) <= tolerance) if values else True
-    if spec.kind == "affix":
-        followers = _expand_pairing_units(
-            scene, resolve_selection(scene, spec.params["followers"]))
-        anchors = _expand_pairing_units(
-            scene, resolve_selection(scene, spec.params["anchors"]))
-        try:
-            pairs = _pair(scene, followers, anchors)
-        except ConstraintError:
-            return False
-        point = spec.params["anchor_point"]
-        for follower, anchor in pairs:
-            ax, ay = bbox_point(scene.bbox(anchor), point)
-            fx, fy = bbox_point(scene.bbox(follower), point)
-            if abs(ax + spec.params["dx"] - fx) > tolerance:
-                return False
-            if abs(ay + spec.params["dy"] - fy) > tolerance:
-                return False
-        return True
-    if spec.kind == "order":
-        moved, problem = evaluate_order_check(scene, spec)
-        return problem is None and not moved
-    if spec.kind == "z_order":
-        return all(scene.elements[eid].z_index == z
-                   for eid, z in zip(spec.params["elements"], spec.params["z"])
-                   if eid in scene.elements)
-    return True
-
-
-def evaluate_order_check(scene, spec: ConstraintSpec):
-    """Like evaluate_order but without mutating the group."""
-    group = scene.elements.get(spec.params["group"])
-    if group is None:
-        return set(), "group missing"
-    members = [scene.elements[m] for m in group.members]
-    try:
-        keyed = [(_order_key(scene, m, spec.params["key"]), i, m.id)
-                 for i, m in enumerate(members)]
-    except ConstraintError as e:
-        return set(), str(e)
-    ordered = sorted(keyed, key=lambda t: t[0],
-                     reverse=spec.params["direction"] == "descending")
-    if [m for _, _, m in ordered] != group.members:
-        return {group.id}, None
-    return set(), None

@@ -53,31 +53,12 @@ class Table:
 
 
 @dataclass
-class Network:
+class Network(Table):
     """Items plus links between them; a tree is a network whose links form
     a single-rooted parent-child hierarchy."""
 
-    name: str
-    attributes: list[AttributeDef] = field(default_factory=list)
-    items: list[dict] = field(default_factory=list)
     links: list[dict] = field(default_factory=list)
     id_attribute: str = "id"
-
-    def attribute(self, name: str) -> AttributeDef:
-        for a in self.attributes:
-            if a.name == name:
-                return a
-        raise DataError(f"unknown attribute {name!r} in dataset {self.name!r}")
-
-    def has_attribute(self, name: str) -> bool:
-        return any(a.name == name for a in self.attributes)
-
-    @property
-    def attribute_names(self) -> list[str]:
-        return [a.name for a in self.attributes]
-
-    def value(self, index: int, attribute: str):
-        return self.items[index][attribute]
 
     def item_index(self, item_id):
         try:
@@ -292,14 +273,12 @@ def _temporal_key(value):
 
 def canonical_order(dataset, attribute: str, values):
     """Order distinct values canonically: declared order for ordinal columns,
-    timestamp order for temporal ones, first appearance otherwise."""
+    timestamp order for temporal ones, first appearance otherwise. An
+    attribute the dataset lacks counts as nominal."""
+    distinct = list(dict.fromkeys(values))
+    if not dataset.has_attribute(attribute):
+        return distinct
     attr = dataset.attribute(attribute)
-    distinct = []
-    seen = set()
-    for v in values:
-        if v not in seen:
-            seen.add(v)
-            distinct.append(v)
     if attr.kind == "ordinal" and attr.declared_order is not None:
         rank = {v: i for i, v in enumerate(attr.declared_order)}
         return sorted(distinct, key=lambda v: rank.get(v, len(rank)))

@@ -141,13 +141,6 @@ def band_width(scale: Scale) -> float:
 # --------------------------------------------------------------- application
 
 
-def _attribute_kind(scene, enc_or_attr, dataset_name, attribute):
-    dataset = scene.dataset(dataset_name)
-    if dataset.has_attribute(attribute):
-        return dataset.attribute(attribute).kind
-    return "nominal"
-
-
 def encoding_peers(scene, enc: Encoding):
     return [scene.resolve(m) for m in scene.peer_sets[enc.peer_set].members]
 
@@ -184,10 +177,7 @@ def infer_scale(scene, channel: str, attribute_kind: str, values, dataset, attri
         rng = list(DEFAULT_RANGES.get(channel, (0, 100)))
         return Scale(scene.make_id("scale"), "linear", domain, rng)
     # nominal / ordinal / temporal
-    if dataset.has_attribute(attribute):
-        categories = canonical_order(dataset, attribute, values)
-    else:
-        categories = list(dict.fromkeys(values))
+    categories = canonical_order(dataset, attribute, values)
     if channel in ("fill", "stroke"):
         return Scale(scene.make_id("scale"), "color-categorical",
                      categories, list(CATEGORY10))
@@ -464,7 +454,6 @@ def reinfer_domain(scene, scale: Scale):
         else:
             peers = encoding_peers(scene, enc)
             dataset = scene.dataset(peers[0].data_scope.dataset)
-            scale.domain = canonical_order(dataset, enc.attribute, values) \
-                if dataset.has_attribute(enc.attribute) else list(dict.fromkeys(values))
+            scale.domain = canonical_order(dataset, enc.attribute, values)
     else:
         unify_domain(scale, [_observed_values(scene, e) for e in encs])

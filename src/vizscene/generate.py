@@ -10,9 +10,11 @@ into peer sets, one per structural origin.
 
 from __future__ import annotations
 
-from .data import Network, group_items
+from .constraints import constraint_elements
+from .data import Network, canonical_order, group_items
 from .elements import DataScope, Group, Mark, Segment, Vertex
 from .errors import DataError, SceneError
+from .scene import rename_selector_attributes
 
 DIVIDE_TYPES = {
     # input type -> {orientation (or None): output type}
@@ -332,7 +334,7 @@ def _divide_one(scene, t: Mark, groups, ds_name, orientation, provenance):
         _shape_divided_child(child, t, i, k, orientation)
         from .elements import sync_geometry
         sync_geometry(child, scene.make_id)
-        scene.reindex_mark(child)
+        scene.index_mark(child)
         child.parent = col.id
         col.members.append(child.id)
     col.data_scope = _union_scopes(scene, col.members)
@@ -472,7 +474,7 @@ def _densify_one(scene, t: Mark, groups, ds_name, orientation) -> Mark:
         for px, py in trail:
             new.vertices.append(Vertex(scene.make_id("vertex"), px, py, None))
         _rechain(scene, new, closed=True)
-    scene.reindex_mark(new)
+    scene.index_mark(new)
     return new
 
 
@@ -495,9 +497,7 @@ def classify(scene, collection, attribute: str):
         member_values.append(value)
     ds_name = col.data_scope.dataset if col.data_scope else members[0].data_scope.dataset
     ds = scene.dataset(ds_name)
-    from .data import canonical_order
-    ordered_values = canonical_order(ds, attribute, member_values) \
-        if ds.has_attribute(attribute) else list(dict.fromkeys(member_values))
+    ordered_values = canonical_order(ds, attribute, member_values)
     subs = []
     with scene.batch():
         for value in ordered_values:
@@ -538,9 +538,13 @@ def repopulate(scene, collection, new_dataset, attribute_pairs):
         if not ds.has_attribute(new_attr):
             raise DataError(f"attribute {new_attr!r} missing from dataset {ds_name!r}")
         mapping[cur_attr] = new_attr
+    subtree = {col.id} | {e.id for e in scene.descendants(col)}
+    touching = [spec for spec in scene.constraints.values()
+                if constraint_elements(scene, spec) & subtree]
     with scene.batch():
         _repopulate_level(scene, col, list(range(len(ds.items))), ds_name, ds, mapping)
         _refresh_encodings(scene, col, ds_name, ds, mapping)
+        _rename_constraint_attributes(touching, mapping)
         _prune_empty_peer_sets(scene)
         scene.dirty.structure = True
     return col
@@ -612,6 +616,18 @@ def _refresh_encodings(scene, col: Group, ds_name, ds, mapping):
         reinfer_domain(scene, scene.scales[enc.scale])
         scene.dirty.encodings.add(enc.id)
         scene.dirty.scales.add(enc.scale)
+
+
+def _rename_constraint_attributes(specs, mapping):
+    """Stored selectors and ordering keys follow the attribute pairs, so
+    constraints on the template keep holding on the new columns."""
+    for spec in specs:
+        for role in ("targets", "followers", "anchors"):
+            if role in spec.params:
+                spec.params[role] = rename_selector_attributes(spec.params[role], mapping)
+        key = spec.params.get("key") if spec.kind == "order" else None
+        if key and key.get("attribute") in mapping:
+            spec.params["key"] = {**key, "attribute": mapping[key["attribute"]]}
 
 
 # ----------------------------------------------------------------- stratify
@@ -699,7 +715,7 @@ def stratify(scene, mark, tree, attribute: str, orientation: str | None = None):
                                                 "width": w / levels, "height": frac * h})
                 from .elements import sync_geometry
                 sync_geometry(new, scene.make_id)
-                scene.reindex_mark(new)
+                scene.index_mark(new)
             else:
                 r = ch.get("radius", 0)
                 _convert(new, "arc", {"x": 0, "y": 0,

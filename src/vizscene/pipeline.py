@@ -3,8 +3,9 @@
 A pipeline is a JSON array of steps ``{"op", "target"?, "args"?, "as"?}``.
 Steps run in order against one scene; ``as`` binds a step's result to a
 symbolic handle that later steps reference. Element references accept a
-handle/id, a dotted member path ("rows.0.3"), a ``{"from","where"}`` filter
-selecting marks by scope value, or a list of any of these.
+handle/id, a dotted member path ("rows.0.3"), ``{"vertices_of", "index"?}``,
+a ``{"from","where"}`` filter selecting marks by scope value,
+``{"peer_set": id}``, or a list of any of these.
 """
 
 from __future__ import annotations
@@ -56,16 +57,7 @@ def resolve_elements(ctx, sel) -> list:
             if "index" in sel:
                 return [data_vertices[sel["index"]]]
             return data_vertices
-        base = resolve_elements(ctx, sel["from"])
-        out = []
-        for b in base:
-            out.extend(ctx.scene.descendant_marks(b) or [b])
-        where = sel.get("where")
-        if where:
-            out = [e for e in out
-                   if e.data_scope is not None
-                   and ctx.scene.get_scope_value(e, where["attribute"]) == where["value"]]
-        return out
+        return ctx.scene.select(_selector_to_ids(ctx, sel))
     if isinstance(sel, (Mark, Group)):
         return [sel]
     name, *path = str(sel).split(".")
@@ -88,14 +80,16 @@ def resolve_one(ctx, sel):
 
 
 def _selector_to_ids(ctx, sel):
-    """Translate handles inside a selector so stored constraints stay valid."""
-    if isinstance(sel, dict):
-        out = dict(sel)
-        out["from"] = _selector_to_ids(ctx, sel["from"])
-        return out
+    """Translate handles, dotted paths and ``vertices_of`` inside a selector
+    into ids, leaving the grammar :meth:`Scene.select` reads, so stored
+    constraints stay valid."""
+    if isinstance(sel, dict) and "from" in sel:
+        return {**sel, "from": _selector_to_ids(ctx, sel["from"])}
     if isinstance(sel, (list, tuple)):
         return [_selector_to_ids(ctx, s) for s in sel]
-    return [e.id for e in resolve_elements(ctx, sel)] if isinstance(sel, str) else sel
+    if isinstance(sel, str) or (isinstance(sel, dict) and "vertices_of" in sel):
+        return [e.id for e in resolve_elements(ctx, sel)]
+    return sel
 
 
 def _dataset_name(ctx, name):

@@ -105,7 +105,7 @@ def run_propagation(scene) -> PropagationReport:
                 continue
             if structure or cid in dirty_constraints or (
                     constraint_elements(scene, spec) & changed_now):
-                reordered, problem = evaluate_constraint(scene, spec)
+                reordered, problem = evaluate_constraint(scene, spec, write=True)
                 report.evaluated.append(f"constraint:{cid}")
                 dirty_constraints.discard(cid)
                 if problem:
@@ -160,7 +160,7 @@ def run_propagation(scene) -> PropagationReport:
                 if cid not in pending_cons:
                     continue
                 pending_cons.discard(cid)
-                cons_moved, problem = evaluate_constraint(scene, spec)
+                cons_moved, problem = evaluate_constraint(scene, spec, write=True)
                 report.evaluated.append(f"constraint:{cid}")
                 if problem:
                     report.unsatisfied.append(f"{cid}: {problem}")
@@ -211,12 +211,4 @@ def _update_links(scene, changed: set, structure: bool, report: PropagationRepor
             report.evaluated.append(f"links:{el.id}")
 
 
-def check_no_dependency_cycles(scene):
-    """Declaration-time guard: the staged evaluation order is acyclic by
-    construction; what can still conflict is two alignments claiming one
-    movable unit on the same axis, which align() rejects."""
-    return True
-
-
-__all__ = ["run_propagation", "PropagationReport", "check_no_dependency_cycles",
-           "ConstraintError"]
+__all__ = ["run_propagation", "PropagationReport", "ConstraintError"]

@@ -11,7 +11,7 @@ import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .data import Network, Table, aggregate
+from .data import Table, aggregate
 from .elements import (GROUP_CHANNELS, MARK_DEFAULTS, SIZE_CHANNELS, DataScope,
                        Group, Mark, Segment, Vertex, check_channel, mark_bbox,
                        sync_geometry, translate_mark, valid_channels)
@@ -78,7 +78,7 @@ class Scene:
 
     def __init__(self, scene_id: str | None = None):
         self.id = scene_id or f"scene-{next(_scene_ids)}"
-        self.datasets: dict[str, Table | Network] = {}
+        self.datasets: dict[str, Table] = {}
         self.elements: dict[str, Mark | Group] = {}
         self.roots: list[str] = []
         self.peer_sets: dict[str, PeerSet] = {}
@@ -126,14 +126,10 @@ class Scene:
             raise SceneError(f"unknown dataset {name!r}") from None
 
     def register(self, el, parent: str | None = None):
-        if el.id in self.elements:
-            raise SceneError(f"duplicate element id {el.id}")
-        self.elements[el.id] = el
+        self.adopt(el)
         el.parent = parent
         if parent is None:
             self.roots.append(el.id)
-        if isinstance(el, Mark):
-            self._index_mark(el)
         return el
 
     def adopt(self, el):
@@ -142,17 +138,15 @@ class Scene:
             raise SceneError(f"duplicate element id {el.id}")
         self.elements[el.id] = el
         if isinstance(el, Mark):
-            self._index_mark(el)
+            self.index_mark(el)
         return el
 
-    def _index_mark(self, mark: Mark):
+    def index_mark(self, mark: Mark):
+        """(Re)record which mark owns each of its vertices and segments."""
         for v in mark.vertices:
             self._vertex_owner[v.id] = mark.id
         for s in mark.segments:
             self._segment_owner[s.id] = mark.id
-
-    def reindex_mark(self, mark: Mark):
-        self._index_mark(mark)
 
     def unregister(self, el_id: str):
         el = self.elements.pop(el_id, None)
@@ -218,6 +212,32 @@ class Scene:
                 if s.id == target:
                     return s
         raise SceneError(f"unknown element {target!r}")
+
+    def select(self, selection) -> list:
+        """Elements named by a selector: an element, vertex or segment (or its
+        id), a list of selectors, ``{"peer_set": id}``, or ``{"from":
+        selector, "where": {"attribute", "value"}}``, which takes the marks
+        under ``from`` and keeps those whose scope holds the value. A
+        ``where`` also filters a peer set."""
+        if isinstance(selection, dict):
+            if "peer_set" in selection:
+                ps = self.peer_sets.get(selection["peer_set"])
+                out = [self.resolve(m) for m in (ps.members if ps else [])
+                       if m in self.elements or m in self._vertex_owner
+                       or m in self._segment_owner]
+            else:
+                out = []
+                for root in self.select(selection["from"]):
+                    out.extend(self.descendant_marks(root) or [root])
+            where = selection.get("where")
+            if where:
+                out = [e for e in out
+                       if e.data_scope is not None
+                       and self.get_scope_value(e, where["attribute"]) == where["value"]]
+            return out
+        if isinstance(selection, (list, tuple)):
+            return [el for item in selection for el in self.select(item)]
+        return [self.resolve(selection)]
 
     def owner_mark(self, part) -> Mark:
         if isinstance(part, Vertex):
@@ -461,7 +481,7 @@ class Scene:
                 return False
             el.channels[channel] = value
             sync_geometry(el, self.make_id)
-            self.reindex_mark(el)
+            self.index_mark(el)
             return True
         if isinstance(el, Group):
             if channel in ("x", "y"):
@@ -666,6 +686,22 @@ class Scene:
             self.view.field_of_view = (value[0], value[1])
         else:
             raise SceneError(f"unknown view property {prop!r}")
+
+
+def rename_selector_attributes(selection, renames: dict):
+    """A copy of a selector whose ``where`` attributes, at any nesting, are
+    renamed through ``renames`` (old name -> new name)."""
+    if isinstance(selection, (list, tuple)):
+        return [rename_selector_attributes(s, renames) for s in selection]
+    if not isinstance(selection, dict):
+        return selection
+    out = dict(selection)
+    if "from" in out:
+        out["from"] = rename_selector_attributes(out["from"], renames)
+    where = out.get("where")
+    if where and where["attribute"] in renames:
+        out["where"] = {**where, "attribute": renames[where["attribute"]]}
+    return out
 
 
 def create_scene(scene_id: str | None = None) -> Scene:

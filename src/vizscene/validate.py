@@ -6,11 +6,9 @@ command prints one line per check and exits nonzero on any failure.
 
 from __future__ import annotations
 
-from .constraints import check_satisfaction
+from .constraints import TOLERANCE, evaluate_constraint
 from .elements import MARK_CHANNELS, Group, Mark
 from .encoding import encoding_peers, peer_value, scale_apply
-
-TOLERANCE = 1e-9
 
 
 def _check(name, details):
@@ -161,13 +159,20 @@ def _encodings(scene):
 
 
 def _constraints(scene):
+    """A constraint holds when a dry run of its evaluator, the one that
+    propagation runs, would change nothing."""
     problems = []
     for spec in scene.constraints.values():
         try:
-            if not check_satisfaction(scene, spec, TOLERANCE):
-                problems.append(f"{spec.id}: {spec.kind} constraint not satisfied")
+            moved, problem = evaluate_constraint(scene, spec, write=False)
         except Exception as e:
             problems.append(f"{spec.id}: {e}")
+            continue
+        if problem:
+            problems.append(f"{spec.id}: {problem}")
+        elif moved:
+            problems.append(f"{spec.id}: {spec.kind} constraint not satisfied; "
+                            f"enforcing it would change {len(moved)} element(s)")
     return problems
 
 

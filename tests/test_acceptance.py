@@ -17,7 +17,6 @@ import mpmath
 import pytest
 
 import vizscene as vz
-from vizscene.constraints import resolve_selection
 from vizscene.pipeline import execute_pipeline, load_pipeline
 
 from conftest import brute_force_groups, build_diverging_bar, random_table
@@ -298,7 +297,7 @@ def test_acceptance_6_constraint_maintenance_under_mutation():
         assert abs(s.get_channel(leaf, "width") - want) <= 1e-9
     align_spec = next(c for c in s.constraints.values() if c.kind == "align")
     rights = [s.bbox(t)[2]
-              for t in resolve_selection(s, align_spec.params["targets"])]
+              for t in s.select(align_spec.params["targets"])]
     assert max(rights) - min(rights) <= 1e-9
     texts = [s.elements[m] for g in labels.members for m in s.elements[g].members]
     by_scope = {r.data_scope: r for r in leaves}

@@ -3,16 +3,16 @@ import random
 import pytest
 
 import vizscene as vz
-from vizscene.constraints import resolve_selection
+from vizscene.constraints import movable_unit
 from vizscene.errors import ConstraintError
 
 from conftest import build_diverging_bar
 
 
 def _light_blue_targets(s, rows):
-    return resolve_selection(s, {"from": rows.id,
-                                 "where": {"attribute": "response",
-                                           "value": "strongly disagree"}})
+    return s.select({"from": rows.id,
+                     "where": {"attribute": "response",
+                               "value": "strongly disagree"}})
 
 
 class TestAlign:
@@ -315,3 +315,80 @@ class TestOwnershipExclusivity:
             vz.apply_encoding(scene, members[0], "x", "pct", aggregator="mean")
         # the other axis stays free
         vz.apply_encoding(scene, members[0], "y", "pct", aggregator="mean")
+
+
+def _broken_align(scene):
+    a = scene.create_mark("rectangle", {"x": 10})
+    b = scene.create_mark("rectangle", {"x": 50})
+    spec = vz.align(scene, [a.id, b.id], "left")
+    scene.translate(b, 7, 0, touch=False)
+    return spec
+
+
+def _broken_where_align():
+    s, _ = build_diverging_bar()
+    spec = next(c for c in s.constraints.values() if c.kind == "align")
+    target = s.select(spec.params["targets"])[0]
+    s.translate(movable_unit(s, target, "x"), -12, 0, touch=False)
+    return s, spec
+
+
+def _broken_affix(scene):
+    anchor = scene.create_mark("rectangle", {"x": 20, "y": 30})
+    label = scene.create_mark("text", {"text": "a"})
+    spec = vz.affix(scene, [label.id], [anchor.id], "center", 0, 0)
+    scene.translate(label, 0, 4, touch=False)
+    return spec
+
+
+def _broken_order(scene):
+    col = vz.repeat(scene, scene.create_mark("rectangle"), "survey", "response")
+    spec = vz.set_order(scene, col, "response", "descending")
+    col.members.reverse()
+    return spec
+
+
+def _broken_z_order(scene):
+    a = scene.create_mark("rectangle")
+    b = scene.create_mark("rectangle")
+    spec = vz.set_z_order(scene, [a.id, b.id], [5, -1])
+    a.z_index = 0
+    return spec
+
+
+def _constraint_check(scene):
+    report = vz.validate_scene(scene)
+    return next(c for c in report if c["check"] == "constraint-satisfaction")
+
+
+class TestValidationOfConstraints:
+    """validate_scene reports a constraint broken behind propagation's back
+    and passes again once propagation has re-enforced it."""
+
+    @pytest.mark.parametrize("breaker", [_broken_align, _broken_affix,
+                                         _broken_order, _broken_z_order])
+    def test_broken_constraint_fails_then_propagation_fixes(self, scene, breaker):
+        assert _constraint_check(scene)["status"] == "pass"
+        spec = breaker(scene)
+        assert not scene.dirty.any()
+        check = _constraint_check(scene)
+        assert check["status"] == "fail"
+        assert any(d.startswith(f"{spec.id}:") for d in check["details"])
+        scene.dirty.constraints.add(spec.id)
+        scene.propagate()
+        assert _constraint_check(scene)["status"] == "pass"
+
+    def test_where_selected_alignment(self):
+        s, spec = _broken_where_align()
+        check = _constraint_check(s)
+        assert check["status"] == "fail"
+        assert any(d.startswith(f"{spec.id}:") for d in check["details"])
+        s.dirty.constraints.add(spec.id)
+        s.propagate()
+        assert vz.validate.passed(vz.validate_scene(s))
+
+    def test_validation_does_not_write(self, scene):
+        spec = _broken_order(scene)
+        before = list(scene.elements[spec.params["group"]].members)
+        _constraint_check(scene)
+        assert scene.elements[spec.params["group"]].members == before

@@ -7,7 +7,7 @@ import vizscene as vz
 from vizscene.errors import DataError, SceneError
 
 from conftest import (brute_force_groups, build_diverging_bar, random_table,
-                      scope_partition, tree_json)
+                      scope_partition, survey_csv, tree_json)
 
 
 class TestRepeat:
@@ -413,6 +413,31 @@ class TestRepopulate:
         s.add_dataset(self._population())
         with pytest.raises(DataError):
             vz.repopulate(s, rows, "pop", [("nope", "region")])
+
+    def test_renamed_columns_keep_constraints_valid(self):
+        s, parts = build_diverging_bar()
+        renamed = survey_csv().replace(b"age,response,pct", b"cohort,answer,share", 1)
+        s.add_dataset(vz.import_table(renamed, "survey_b"))
+        pairs = [("cohort", "age"), ("answer", "response"), ("share", "pct")]
+        vz.repopulate(s, parts["rows"], "survey_b", pairs)
+        vz.repopulate(s, parts["labels"], "survey_b", pairs)
+        align = next(c for c in s.constraints.values() if c.kind == "align")
+        assert align.params["targets"]["where"] == {"attribute": "answer",
+                                                    "value": "strongly disagree"}
+        report = vz.validate_scene(s)
+        assert vz.validate.passed(report), report
+        assert not s.propagate().evaluated
+
+    def test_renamed_order_key_follows_pairs(self, scene):
+        col = vz.repeat(scene, scene.create_mark("rectangle"), "survey", "response")
+        spec = vz.set_order(scene, col, "response", "descending")
+        renamed = survey_csv().replace(b"age,response,pct", b"cohort,answer,share", 1)
+        scene.add_dataset(vz.import_table(renamed, "survey_b"))
+        vz.repopulate(scene, col, "survey_b", [("answer", "response")])
+        assert spec.params["key"] == {"attribute": "answer"}
+        assert not scene.last_report.unsatisfied
+        values = [scene.get_scope_value(scene.elements[m], "answer") for m in col.members]
+        assert values == ["strongly disagree", "disagree", "agree", "strongly agree"]
 
     def test_without_provenance_errors(self, scene):
         a = scene.create_mark("rectangle")

@@ -6,7 +6,7 @@ import pytest
 import vizscene as vz
 from vizscene.cli import main
 from vizscene.errors import PipelineError
-from vizscene.pipeline import REGISTRY, execute_pipeline
+from vizscene.pipeline import REGISTRY, execute_pipeline, resolve_elements
 
 GALLERY = pathlib.Path(__file__).resolve().parent.parent / "gallery"
 
@@ -82,6 +82,21 @@ class TestExecute:
         ]
         ctx = execute_pipeline(steps, {"survey": survey})
         assert ctx.handles["peak"] == 36
+
+    def test_selectors_resolve_through_the_scene(self, survey):
+        steps = [
+            {"op": "create_mark", "args": {"type": "rectangle"}, "as": "bar"},
+            {"op": "repeat", "target": "bar",
+             "args": {"data": "survey", "attribute": "age"}, "as": "rows"},
+        ]
+        ctx = execute_pipeline(steps, {"survey": survey})
+        rows = ctx.handles["rows"]
+        where = {"attribute": "age", "value": "30 - 50"}
+        got = resolve_elements(ctx, {"from": "rows", "where": where})
+        assert got == ctx.scene.select({"from": rows.id, "where": where})
+        assert [e.id for e in got] == [rows.members[1]]
+        members = resolve_elements(ctx, {"peer_set": got[0].peer_set})
+        assert [e.id for e in members] == rows.members
 
     def test_deterministic_repeated_runs(self, manifest):
         steps = json.loads((GALLERY / "pipelines" / "diverging_bar.json").read_text())
