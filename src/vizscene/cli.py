@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import deque
 from pathlib import Path
 
 from .data import import_network, import_table
@@ -90,13 +91,13 @@ def _template_target(scene, target: str | None):
         if not isinstance(el, Group) or el.group_kind != "collection":
             raise VizSceneError(f"{target!r} is not a collection")
         return el
-    stack = [scene.elements[r] for r in scene.roots]
-    while stack:
-        el = stack.pop(0)
+    queue = deque(scene.elements[r] for r in scene.roots)
+    while queue:
+        el = queue.popleft()
         if isinstance(el, Group):
             if el.group_kind == "collection" and el.provenance:
                 return el
-            stack.extend(scene.elements[m] for m in el.members)
+            queue.extend(scene.elements[m] for m in el.members)
     raise VizSceneError("no collection with generative provenance found; pass --target")
 
 

@@ -67,16 +67,13 @@ def _expand_pairing_units(scene, elements):
     glyphs pass through."""
     units = []
     for el in elements:
-        if isinstance(el, Mark) or el.group_kind == "glyph":
-            units.append(el)
-        else:
-            stack = [scene.elements[m] for m in el.members]
-            while stack:
-                e = stack.pop(0)
-                if isinstance(e, Mark) or e.group_kind == "glyph":
-                    units.append(e)
-                else:
-                    stack = [scene.elements[m] for m in e.members] + stack
+        stack = [el]
+        while stack:
+            e = stack.pop()
+            if isinstance(e, Mark) or e.group_kind == "glyph":
+                units.append(e)
+            else:
+                stack.extend(scene.elements[m] for m in reversed(e.members))
     return units
 
 
@@ -299,7 +296,9 @@ def set_order(scene, group, key, direction: str = "ascending") -> ConstraintSpec
     return spec
 
 
-def _order_key(scene, member, key: dict):
+def _order_key(scene, member, key: dict, ranks: dict):
+    """``ranks`` holds, per dataset, the canonical rank of each value of a
+    categorical key; the caller keeps it for one ``evaluate_order`` call."""
     if "channel" in key:
         value = scene.get_channel(member, key["channel"])
         if value is None:
@@ -315,9 +314,12 @@ def _order_key(scene, member, key: dict):
     if member.data_scope.table == "items" and dataset.has_attribute(attribute):
         kind = dataset.attribute(attribute).kind
         if kind in ("nominal", "ordinal", "temporal"):
-            ordered = canonical_order(dataset, attribute,
-                                      [row[attribute] for row in dataset.items])
-            return ordered.index(value)
+            name = member.data_scope.dataset
+            if name not in ranks:
+                ordered = canonical_order(dataset, attribute,
+                                          [row[attribute] for row in dataset.items])
+                ranks[name] = {v: i for i, v in enumerate(ordered)}
+            return ranks[name][value]
     return value
 
 
@@ -326,8 +328,9 @@ def evaluate_order(scene, spec: ConstraintSpec, *, write: bool):
     if group is None:
         return set(), f"ordering {spec.id} lost its group"
     members = [scene.elements[m] for m in group.members]
+    ranks = {}
     try:
-        keyed = [(_order_key(scene, m, spec.params["key"]), i, m.id)
+        keyed = [(_order_key(scene, m, spec.params["key"], ranks), i, m.id)
                  for i, m in enumerate(members)]
     except ConstraintError as e:
         return set(), str(e)

@@ -292,6 +292,7 @@ def execute_pipeline(steps, data: dict | None = None, scene_id: str = "scene-1",
         op = REGISTRY.get(step["op"])
         if op is None:
             raise PipelineError(index, f"unknown operation {step['op']!r}")
+        ctx.scene.last_report = None  # set again only if this step propagates
         try:
             result = op(ctx, step.get("target"), step.get("args", {}))
         except PipelineError:

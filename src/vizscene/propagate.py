@@ -10,6 +10,8 @@ staged pass suffices and a second pass re-evaluates nothing.
 
 from __future__ import annotations
 
+import heapq
+
 from .elements import Group, Mark
 from .errors import ConstraintError
 
@@ -125,9 +127,22 @@ def run_propagation(scene) -> PropagationReport:
                     dirty_layouts.add(el.id)
         pending = {g for g in dirty_layouts
                    if g in scene.elements and scene.elements[g].layout}
-        while pending:
-            gid = max(pending, key=lambda g: (scene.depth(scene.elements[g]),
-                                              list(scene.elements).index(g)))
+        heap = []
+        if pending:
+            # deepest first, later-declared first among equals; layouts move
+            # and resize elements but never add or remove them, so positions
+            # and depths hold for the whole pass
+            position = {el_id: i for i, el_id in enumerate(scene.elements)}
+
+            def entry(g):
+                return (-scene.depth(scene.elements[g]), -position[g], g)
+
+            heap = [entry(g) for g in pending]
+            heapq.heapify(heap)
+        while heap:
+            # a group is pushed only while not pending, so the heap holds one
+            # entry per pending group and its top is the old max() choice
+            gid = heapq.heappop(heap)[2]
             pending.discard(gid)
             group = scene.elements[gid]
             before = scene.bbox_in_parent(group)
@@ -137,10 +152,11 @@ def run_propagation(scene) -> PropagationReport:
             after = scene.bbox_in_parent(group)
             size_changed = (abs((after[2] - after[0]) - (before[2] - before[0])) > 1e-12
                             or abs((after[3] - after[1]) - (before[3] - before[1])) > 1e-12)
-            if size_changed or layout_moved:
+            if size_changed:
                 for anc in _ancestor_layouts(scene, gid) - {gid}:
-                    if size_changed:
+                    if anc not in pending:
                         pending.add(anc)
+                        heapq.heappush(heap, entry(anc))
 
         # relational constraints to fixpoint, declaration order
         changed_now = _closure(scene, sized | moved)
@@ -155,7 +171,8 @@ def run_propagation(scene) -> PropagationReport:
         for _ in range(rounds):
             if not pending_cons:
                 break
-            moved_this_round = set()
+            moves = []       # closure of each move made this round, in order
+            read_up_to = {}  # constraint id -> how many of those moves it read
             for cid, spec in scene.constraints.items():
                 if cid not in pending_cons:
                     continue
@@ -164,14 +181,28 @@ def run_propagation(scene) -> PropagationReport:
                 report.evaluated.append(f"constraint:{cid}")
                 if problem:
                     report.unsatisfied.append(f"{cid}: {problem}")
-                moved_this_round |= cons_moved
-            if moved_this_round:
-                moved |= moved_this_round
-                closure = _closure(scene, moved_this_round)
+                if cons_moved:
+                    moved |= cons_moved
+                    moves.append(_closure(scene, cons_moved))
+                    # translations of nested elements disturb one another, so
+                    # a constraint that does not hold after its own moves runs
+                    # again
+                    if evaluate_constraint(scene, spec, write=False) != (set(), None):
+                        pending_cons.add(cid)
+                read_up_to[cid] = len(moves)
+            if moves:
+                # a constraint read every move made before it ran; only the
+                # moves after it re-queue it
+                last_move = {}
+                for i, closure in enumerate(moves):
+                    for el_id in closure:
+                        last_move[el_id] = i
                 for cid, spec in scene.constraints.items():
-                    if spec.kind == "order":
+                    if spec.kind == "order" or cid in pending_cons:
                         continue
-                    if constraint_elements(scene, spec) & closure:
+                    unread = read_up_to.get(cid, 0)
+                    if any(last_move.get(el_id, -1) >= unread
+                           for el_id in constraint_elements(scene, spec)):
                         pending_cons.add(cid)
         else:
             if pending_cons:

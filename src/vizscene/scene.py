@@ -252,12 +252,13 @@ class Scene:
         return []
 
     def descendants(self, el):
+        """Every element under ``el``, in pre-order."""
         out = []
-        stack = list(self.children(el))
+        stack = self.children(el)[::-1]
         while stack:
-            e = stack.pop(0)
+            e = stack.pop()
             out.append(e)
-            stack = self.children(e) + stack
+            stack.extend(reversed(self.children(e)))
         return out
 
     def descendant_marks(self, el):
@@ -604,10 +605,7 @@ class Scene:
             scopes = [m.data_scope for m in members]
             if len(signatures) == 1 and all(s is not None for s in scopes):
                 same_source = len({(s.dataset, s.table) for s in scopes}) == 1
-                disjoint = all(not scopes[i].overlaps(scopes[j])
-                               for i in range(len(scopes))
-                               for j in range(i + 1, len(scopes)))
-                if same_source and disjoint:
+                if same_source and scopes_disjoint(scopes):
                     return "collection"
         return "composite"
 
@@ -626,11 +624,12 @@ class Scene:
             return problems
         if len({(s.dataset, s.table) for s in scopes}) > 1:
             problems.append("member scopes must come from one dataset")
-        for i in range(len(scopes)):
-            for j in range(i + 1, len(scopes)):
-                if scopes[i].overlaps(scopes[j]):
-                    problems.append(
-                        f"member scopes overlap: {members[i].id} and {members[j].id}")
+        if not scopes_disjoint(scopes):
+            for i in range(len(scopes)):
+                for j in range(i + 1, len(scopes)):
+                    if scopes[i].overlaps(scopes[j]):
+                        problems.append(
+                            f"member scopes overlap: {members[i].id} and {members[j].id}")
         if group.data_scope is not None and members:
             union = set()
             for s in scopes:
@@ -686,6 +685,19 @@ class Scene:
             self.view.field_of_view = (value[0], value[1])
         else:
             raise SceneError(f"unknown view property {prop!r}")
+
+
+def scopes_disjoint(scopes) -> bool:
+    """Whether no two scopes share a data item, as pairwise
+    ``DataScope.overlaps`` would decide, in time linear in their indices."""
+    seen = set()
+    for scope in scopes:
+        for i in set(scope.indices):
+            key = (scope.dataset, scope.table, i)
+            if key in seen:
+                return False
+            seen.add(key)
+    return True
 
 
 def rename_selector_attributes(selection, renames: dict):

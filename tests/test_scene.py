@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 import vizscene as vz
 from vizscene.elements import MARK_TYPES, DataScope
 from vizscene.errors import ChannelError, SceneError
+from vizscene.scene import scopes_disjoint
 
 from conftest import build_diverging_bar
 
@@ -276,6 +277,65 @@ class TestGroupKind:
             union |= sc
         assert union == set(rows.data_scope.indices)
         assert s.check_collection(rows) == []
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(
+        DataScope,
+        dataset=st.sampled_from(["survey", "months"]),
+        indices=st.lists(st.integers(0, 6), max_size=4),
+        table=st.sampled_from(["items", "links"])), max_size=6))
+    def test_disjointness_agrees_with_pairwise_overlaps(self, scopes):
+        pairwise = all(not scopes[i].overlaps(scopes[j])
+                       for i in range(len(scopes))
+                       for j in range(i + 1, len(scopes)))
+        assert scopes_disjoint(scopes) == pairwise
+
+    def test_index_repeated_inside_one_scope_is_not_an_overlap(self):
+        assert scopes_disjoint([DataScope("survey", (0, 0)), DataScope("survey", (1,))])
+        assert not scopes_disjoint([DataScope("survey", (0, 0)),
+                                    DataScope("survey", (1, 0))])
+
+    def _four_cells(self, scene):
+        marks = []
+        for i in range(4):
+            m = scene.create_mark("rectangle")
+            m.data_scope = DataScope("survey", (i,))
+            marks.append(m)
+        return marks, scene.group_elements(marks)
+
+    def test_overlapping_collection_names_every_overlapping_pair(self, scene):
+        marks, col = self._four_cells(scene)
+        marks[0].data_scope = DataScope("survey", (0, 1))
+        marks[2].data_scope = DataScope("survey", (2, 1, 1))
+        marks[3].data_scope = DataScope("survey", (0, 3))
+        ids = [m.id for m in marks]
+        assert scene.check_collection(col) == [
+            f"member scopes overlap: {ids[0]} and {ids[1]}",
+            f"member scopes overlap: {ids[0]} and {ids[2]}",
+            f"member scopes overlap: {ids[0]} and {ids[3]}",
+            f"member scopes overlap: {ids[1]} and {ids[2]}",
+        ]
+
+    def test_repeated_index_inside_a_member_keeps_the_collection_valid(self, scene):
+        marks, col = self._four_cells(scene)
+        marks[0].data_scope = DataScope("survey", (0, 0))
+        marks[3].data_scope = DataScope("survey", (3, 3))
+        assert scene.check_collection(col) == []
+
+
+class TestDescendants:
+    def test_pre_order_over_three_levels(self, scene):
+        m = [scene.create_mark("rectangle") for _ in range(6)]
+        inner1 = scene.group_elements([m[0], m[1]], kind="composite")
+        inner2 = scene.group_elements([m[2]], kind="composite")
+        mid = scene.group_elements([inner1, m[3], inner2], kind="composite")
+        top = scene.group_elements([m[4], mid, m[5]], kind="composite")
+        expected = [m[4], mid, inner1, m[0], m[1], m[3], inner2, m[2], m[5]]
+        assert [e.id for e in scene.descendants(top)] == [e.id for e in expected]
+        assert [e.id for e in scene.descendant_marks(top)] == [
+            e.id for e in (m[4], m[0], m[1], m[3], m[2], m[5])]
+        assert scene.descendants(m[0]) == []
 
 
 class TestAuxAndView:
