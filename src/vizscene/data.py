@@ -48,9 +48,6 @@ class Table:
     def attribute_names(self) -> list[str]:
         return [a.name for a in self.attributes]
 
-    def value(self, index: int, attribute: str):
-        return self.items[index][attribute]
-
 
 @dataclass
 class Network(Table):

@@ -18,6 +18,8 @@ MARK_TYPES = ("rectangle", "circle", "line", "path", "text", "image", "band",
 
 GROUP_KINDS = ("glyph", "collection", "composite")
 
+GROUP_ID_PREFIX = {"glyph": "glyph", "collection": "col", "composite": "comp"}
+
 # channel inventory per mark type; this table is the package's documented
 # contract for which channels each type accepts
 MARK_CHANNELS = {
@@ -80,11 +82,6 @@ class DataScope:
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(sorted(self.indices)))
 
-    def union(self, other: "DataScope") -> "DataScope":
-        if other.dataset != self.dataset or other.table != self.table:
-            raise SceneError("cannot union data scopes over different datasets")
-        return DataScope(self.dataset, tuple(set(self.indices) | set(other.indices)), self.table)
-
     def intersection(self, indices) -> "DataScope":
         return DataScope(self.dataset, tuple(set(self.indices) & set(indices)), self.table)
 
@@ -95,6 +92,19 @@ class DataScope:
 
     def __len__(self):
         return len(self.indices)
+
+
+def union_scopes(scopes) -> DataScope | None:
+    """Every item of the given scopes, which must share a dataset and table;
+    ``None`` entries are skipped, and a lone scope is returned as it is."""
+    scopes = [s for s in scopes if s is not None]
+    if len(scopes) <= 1:
+        return scopes[0] if scopes else None
+    first = scopes[0]
+    if any(s.dataset != first.dataset or s.table != first.table for s in scopes):
+        raise SceneError("cannot union data scopes over different datasets")
+    return DataScope(first.dataset, tuple(set().union(*(s.indices for s in scopes))),
+                     first.table)
 
 
 @dataclass

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from .constraints import constraint_elements
 from .data import Network, canonical_order, group_items
-from .elements import DataScope, Group, Mark, Segment, Vertex
+from .elements import (GROUP_ID_PREFIX, DataScope, Group, Mark, Segment, Vertex,
+                       union_scopes)
 from .errors import DataError, SceneError
 from .scene import rename_selector_attributes
 
@@ -92,7 +93,7 @@ def copy_element(scene, el, transform, pairs):
         pairs.append((el, new))
         return new
 
-    new = Group(scene.make_id(_group_prefix(el.group_kind)), el.group_kind,
+    new = Group(scene.make_id(GROUP_ID_PREFIX[el.group_kind]), el.group_kind,
                 channels=dict(el.channels), tx=el.tx, ty=el.ty, z_index=el.z_index,
                 layout=dict(el.layout) if el.layout else None,
                 layout_default=el.layout_default,
@@ -111,14 +112,10 @@ def copy_element(scene, el, transform, pairs):
     if scope is _DROP:
         scope = None
     if el.group_kind == "collection" and new.members:
-        scope = _union_scopes(scene, new.members)
+        scope = union_scopes(m.data_scope for m in scene.children(new))
     new.data_scope = scope
     pairs.append((el, new))
     return new
-
-
-def _group_prefix(kind: str) -> str:
-    return {"glyph": "glyph", "collection": "col", "composite": "comp"}[kind]
 
 
 def _rechain(scene, mark: Mark, closed: bool):
@@ -128,16 +125,6 @@ def _rechain(scene, mark: Mark, closed: bool):
     for i in range(count):
         mark.segments.append(Segment(scene.make_id("segment"),
                                      (mark.vertices[i].id, mark.vertices[(i + 1) % n].id)))
-
-
-def _union_scopes(scene, member_ids):
-    scope = None
-    for mid in member_ids:
-        s = scene.elements[mid].data_scope
-        if s is None:
-            continue
-        scope = s if scope is None else scope.union(s)
-    return scope
 
 
 def _pool_peer_sets(scene, all_pairs, provenance):
@@ -244,7 +231,7 @@ def repeat(scene, element, dataset, attribute: str):
                 copy.parent = col.id
                 col.members.append(copy.id)
                 all_pairs.extend(pairs)
-            col.data_scope = _union_scopes(scene, col.members)
+            col.data_scope = union_scopes(m.data_scope for m in scene.children(col))
             from .layout import normalize_layout
             col.layout = normalize_layout({"type": "grid", "num_cols": 1})
             col.layout_default = True
@@ -337,7 +324,7 @@ def _divide_one(scene, t: Mark, groups, ds_name, orientation, provenance):
         scene.index_mark(child)
         child.parent = col.id
         col.members.append(child.id)
-    col.data_scope = _union_scopes(scene, col.members)
+    col.data_scope = union_scopes(m.data_scope for m in scene.children(col))
     if layout:
         from .layout import normalize_layout
         col.layout = normalize_layout(layout)
@@ -509,7 +496,7 @@ def classify(scene, collection, attribute: str):
                 if v == value:
                     m.parent = sub.id
                     sub.members.append(m.id)
-            sub.data_scope = _union_scopes(scene, sub.members)
+            sub.data_scope = union_scopes(m.data_scope for m in scene.children(sub))
             subs.append(sub)
         col.members = [s.id for s in subs]
         col.provenance = {"op": "classify",
@@ -730,7 +717,7 @@ def stratify(scene, mark, tree, attribute: str, orientation: str | None = None):
         for node, m in node_marks.items():
             if parent[node] is not None:
                 m.tree_parent = node_marks[parent[node]].id
-        col.data_scope = _union_scopes(scene, col.members)
+        col.data_scope = union_scopes(m.data_scope for m in scene.children(col))
         scene.replace_in_parent(el.id, col.id)
         scene.unregister(el.id)
         scene.make_peer_set(marks, provenance)
@@ -767,7 +754,7 @@ def repeat_network(scene, node_element, link_mark, network, attribute: str):
             node_col.members.append(copy.id)
             value_to_node[value] = copy.id
             all_pairs.extend(pairs)
-        node_col.data_scope = _union_scopes(scene, node_col.members)
+        node_col.data_scope = union_scopes(m.data_scope for m in scene.children(node_col))
         from .layout import normalize_layout
         node_col.layout = normalize_layout({"type": "grid", "num_cols": 1})
         node_col.layout_default = True

@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 
 from .elements import Group, Mark
-from .errors import ConstraintError
 
 MAX_CONSTRAINT_ROUNDS_PAD = 2
 
@@ -242,4 +241,4 @@ def _update_links(scene, changed: set, structure: bool, report: PropagationRepor
             report.evaluated.append(f"links:{el.id}")
 
 
-__all__ = ["run_propagation", "PropagationReport", "ConstraintError"]
+__all__ = ["run_propagation", "PropagationReport"]

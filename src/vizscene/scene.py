@@ -12,9 +12,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .data import Table, aggregate
-from .elements import (GROUP_CHANNELS, MARK_DEFAULTS, SIZE_CHANNELS, DataScope,
-                       Group, Mark, Segment, Vertex, check_channel, mark_bbox,
-                       sync_geometry, translate_mark, valid_channels)
+from .elements import (GROUP_CHANNELS, GROUP_ID_PREFIX, MARK_DEFAULTS, SIZE_CHANNELS,
+                       DataScope, Group, Mark, Segment, Vertex, check_channel, mark_bbox,
+                       sync_geometry, translate_mark, union_scopes)
 from .errors import ChannelError, SceneError
 
 _scene_ids = itertools.count(1)
@@ -406,14 +406,9 @@ class Scene:
         """Group arbitrary root elements; kind defaults to the classification."""
         members = [self.resolve(m) for m in members]
         kind = kind or self.classify_group_kind(members)
-        prefix = {"glyph": "glyph", "collection": "col", "composite": "comp"}[kind]
-        group = Group(self.make_id(prefix), kind)
+        group = Group(self.make_id(GROUP_ID_PREFIX[kind]), kind)
         if kind != "composite":
-            scope = None
-            for m in members:
-                if m.data_scope is not None:
-                    scope = m.data_scope if scope is None else scope.union(m.data_scope)
-            group.data_scope = scope
+            group.data_scope = union_scopes(m.data_scope for m in members)
         self.register(group)
         for m in members:
             if m.id in self.roots:
@@ -599,44 +594,39 @@ class Scene:
             scopes = {m.data_scope for m in members}
             if len(scopes) == 1:
                 return "glyph"
-        kinds = {("mark" if isinstance(m, Mark) else m.group_kind) for m in members}
-        if len(kinds) == 1 and kinds <= {"mark", "glyph", "collection"}:
-            signatures = {self.type_signature(m) for m in members}
-            scopes = [m.data_scope for m in members]
-            if len(signatures) == 1 and all(s is not None for s in scopes):
-                same_source = len({(s.dataset, s.table) for s in scopes}) == 1
-                if same_source and scopes_disjoint(scopes):
-                    return "collection"
+        if next(self.collection_problems(members), None) is None:
+            return "collection"
         return "composite"
 
     def check_collection(self, group: Group) -> list[str]:
         """Return the list of violated collection conditions (empty if valid)."""
-        problems = []
-        members = [self.elements[m] for m in group.members]
+        return list(self.collection_problems(self.children(group), group.data_scope))
+
+    def collection_problems(self, members, scope: DataScope | None = None):
+        """Yield each collection condition the member elements violate; with
+        the group's ``scope``, also whether it is the union of theirs."""
         kinds = {("mark" if isinstance(m, Mark) else m.group_kind) for m in members}
         if len(kinds) > 1 or not kinds <= {"mark", "glyph", "collection"}:
-            problems.append("members must be all marks, all glyphs, or all collections")
+            yield "members must be all marks, all glyphs, or all collections"
         if len({self.type_signature(m) for m in members}) > 1:
-            problems.append("members must share the same type")
+            yield "members must share the same type"
         scopes = [m.data_scope for m in members]
         if any(s is None for s in scopes):
-            problems.append("every member needs a data scope")
-            return problems
+            yield "every member needs a data scope"
+            return
         if len({(s.dataset, s.table) for s in scopes}) > 1:
-            problems.append("member scopes must come from one dataset")
+            yield "member scopes must come from one dataset"
         if not scopes_disjoint(scopes):
             for i in range(len(scopes)):
                 for j in range(i + 1, len(scopes)):
                     if scopes[i].overlaps(scopes[j]):
-                        problems.append(
-                            f"member scopes overlap: {members[i].id} and {members[j].id}")
-        if group.data_scope is not None and members:
+                        yield f"member scopes overlap: {members[i].id} and {members[j].id}"
+        if scope is not None and members:
             union = set()
             for s in scopes:
                 union |= set(s.indices)
-            if set(group.data_scope.indices) != union:
-                problems.append("group scope must equal the union of member scopes")
-        return problems
+            if set(scope.indices) != union:
+                yield "group scope must equal the union of member scopes"
 
     # ------------------------------------------------------------ auxiliary
 

@@ -2,9 +2,10 @@
 
 Documents are versioned ("msc-scene/1") and self-contained: datasets are
 inlined and scopes reference them by row index, so a saved scene works as a
-template for repopulation. Serialization is deterministic; reconstruction
-validates referential integrity and the structural invariants and reports
-failures with a JSON path.
+template for repopulation. Serialization is deterministic. Reconstruction
+builds the scene, then runs the structural checks of :mod:`vizscene.validate`:
+a document loads if and only if it passes them, and every failure names the
+JSON path of its record.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ import json
 
 from .constraints import ConstraintSpec
 from .data import AttributeDef, Network, Table
-from .elements import (MARK_CHANNELS, DataScope, Group, Mark, Segment, Vertex)
+from .elements import GROUP_KINDS, MARK_TYPES, DataScope, Group, Mark, Segment, Vertex
 from .encoding import SCALE_KINDS, Encoding, Scale
 from .errors import SceneFormatError
 from .scene import AuxiliaryElement, PeerSet, Scene, ViewConfig
 from .svgrender import render
+from .validate import STRUCTURAL_CHECKS
 
 FORMAT_VERSION = "msc-scene/1"
 
@@ -165,19 +167,50 @@ def serialize_scene(scene: Scene) -> str:
 # -------------------------------------------------------------- deserialize
 
 
-def _parse_scope(doc, datasets, path):
+# Readers for the fields the structural checks hash or compute with; a
+# field's path is only formatted on an error.
+
+
+def _id(doc, path) -> str:
+    """A record's id, which must be a non-empty string."""
+    record_id = doc.get("id") if isinstance(doc, dict) else None
+    if not isinstance(record_id, str) or not record_id:
+        raise SceneFormatError(f"missing or invalid id {record_id!r}", path)
+    return record_id
+
+
+def _ids(doc, key, path="") -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list) or not set(map(type, value)) <= {str}:
+        raise SceneFormatError("expected a list of id strings",
+                               f"{path}.{key}" if path else key)
+    return list(value)
+
+
+def _field(doc, key, path, types, default=None):
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise SceneFormatError(f"unexpected value {value!r}", f"{path}.{key}")
+    return value
+
+
+_ID_OR_NONE = (str, type(None))
+_NUMBER = (int, float)
+
+
+def _parse_scope(record, path):
+    doc = record.get("scope")
     if doc is None:
         return None
-    name = doc.get("dataset")
-    if name not in datasets:
-        raise SceneFormatError(f"scope references unknown dataset {name!r}", path)
-    table = doc.get("table", "items")
-    ds = datasets[name]
-    limit = len(ds.links) if table == "links" else len(ds.items)
+    if not isinstance(doc, dict):
+        raise SceneFormatError("scope must be an object", f"{path}.scope")
+    name, table = doc.get("dataset"), doc.get("table", "items")
     indices = doc.get("indices", [])
-    for i in indices:
-        if not isinstance(i, int) or i < 0 or i >= limit:
-            raise SceneFormatError(f"scope index {i} out of range for {name!r}", path)
+    # DataScope sorts its indices; whether they name rows is a structural check
+    if not (isinstance(name, str) and isinstance(table, str) and isinstance(indices, list)
+            and set(map(type, indices)) <= {int}):
+        raise SceneFormatError("a scope needs dataset and table names and integer indices",
+                               f"{path}.scope")
     return DataScope(name, tuple(indices), table)
 
 
@@ -192,7 +225,10 @@ def _parse_dataset(doc, path):
 
 
 def deserialize_scene(source) -> Scene:
-    """Rebuild a live scene from a document produced by serialize_scene."""
+    """Rebuild a live scene from a document produced by serialize_scene.
+
+    Raises SceneFormatError on a record it cannot build, or on the first
+    problem of the structural checks, with the path of the record."""
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     if isinstance(source, str):
@@ -216,69 +252,30 @@ def deserialize_scene(source) -> Scene:
 
     for i, el_doc in enumerate(doc.get("elements", [])):
         path = f"elements[{i}]"
-        el_id = el_doc.get("id")
-        if not el_id or el_id in scene.elements:
-            raise SceneFormatError(f"missing or duplicate element id {el_id!r}", path)
+        el_id = _id(el_doc, path)
+        if el_id in scene.elements:
+            raise SceneFormatError(f"duplicate element id {el_id!r}", path)
         seen_ids.append(el_id)
         if el_doc.get("kind") == "mark":
-            el = _parse_mark(scene, el_doc, path, seen_ids)
-        elif el_doc.get("kind") in ("glyph", "collection", "composite"):
-            el = _parse_group(scene, el_doc, path)
+            el = _parse_mark(el_doc, path, seen_ids)
+        elif el_doc.get("kind") in GROUP_KINDS:
+            el = _parse_group(el_doc, path)
         else:
             raise SceneFormatError(f"unknown element kind {el_doc.get('kind')!r}", path)
-        el.parent = el_doc.get("parent")
-        el.peer_set = el_doc.get("peer_set")
+        el.parent = _field(el_doc, "parent", path, _ID_OR_NONE)
+        el.peer_set = _field(el_doc, "peer_set", path, _ID_OR_NONE)
         el.z_index = el_doc.get("z_index", 0)
         scene.adopt(el)
-
-    # structural wiring
-    for i, el in enumerate(scene.elements.values()):
-        path = f"elements[{i}]"
-        if isinstance(el, Group):
-            for m in el.members:
-                if m not in scene.elements:
-                    raise SceneFormatError(f"member {m!r} does not resolve", path)
-                if scene.elements[m].parent != el.id:
-                    raise SceneFormatError(
-                        f"member {m!r} does not name {el.id!r} as parent", path)
-        if el.parent is not None:
-            if el.parent not in scene.elements:
-                raise SceneFormatError(f"parent {el.parent!r} does not resolve", path)
-            if el.id not in scene.elements[el.parent].members:
-                raise SceneFormatError(
-                    f"{el.id!r} missing from parent {el.parent!r} members", path)
-    for i, root in enumerate(doc.get("roots", [])):
-        if root not in scene.elements:
-            raise SceneFormatError(f"root {root!r} does not resolve", f"roots[{i}]")
-        scene.roots.append(root)
-    for el in scene.elements.values():
-        if el.parent is None and el.id not in scene.roots:
-            raise SceneFormatError(f"orphan element {el.id!r} is not a root")
-    # every element reachable from the roots exactly once (no membership cycles)
-    reached = set()
-    stack = list(scene.roots)
-    while stack:
-        el_id = stack.pop()
-        if el_id in reached:
-            raise SceneFormatError(f"element {el_id!r} appears twice in the tree")
-        reached.add(el_id)
-        el = scene.elements[el_id]
-        if isinstance(el, Group):
-            stack.extend(el.members)
-    if len(reached) != len(scene.elements):
-        raise SceneFormatError("element tree contains unreachable or cyclic members")
+    scene.roots = _ids(doc, "roots")
 
     for i, ps_doc in enumerate(doc.get("peer_sets", [])):
         path = f"peer_sets[{i}]"
-        ps = PeerSet(ps_doc["id"], list(ps_doc.get("members", [])),
-                     ps_doc.get("provenance"))
-        seen_ids.append(ps.id)
-        for m in ps.members:
-            try:
-                scene.resolve(m)
-            except Exception:
-                raise SceneFormatError(f"peer {m!r} does not resolve", path) from None
-        scene.peer_sets[ps.id] = ps
+        ps_id = _id(ps_doc, path)
+        if ps_id in scene.peer_sets:
+            raise SceneFormatError(f"duplicate peer set id {ps_id!r}", path)
+        seen_ids.append(ps_id)
+        scene.peer_sets[ps_id] = PeerSet(ps_id, _ids(ps_doc, "members", path),
+                                         ps_doc.get("provenance"))
 
     for i, s_doc in enumerate(doc.get("scales", [])):
         path = f"scales[{i}]"
@@ -338,56 +335,64 @@ def deserialize_scene(source) -> Scene:
     if scene.view.zoom <= 0:
         raise SceneFormatError("zoom must be positive", "view.zoom")
 
-    _check_invariants(scene)
+    for name, check in STRUCTURAL_CHECKS:
+        for owner, message in check(scene):
+            raise SceneFormatError(f"{name}: {message}", _record_path(scene, owner))
     scene.bump_counter(seen_ids)
     scene.dirty.clear()
     return scene
 
 
-def _parse_mark(scene, doc, path, seen_ids) -> Mark:
+def _record_path(scene, owner) -> str:
+    """The document path of the record a structural problem names."""
+    if isinstance(owner, int):
+        return f"roots[{owner}]"
+    for table, records in (("elements", scene.elements), ("peer_sets", scene.peer_sets)):
+        for i, record_id in enumerate(records):
+            if record_id == owner:
+                return f"{table}[{i}]"
+    return ""
+
+
+def _parse_mark(doc, path, seen_ids) -> Mark:
     mark_type = doc.get("type")
-    if mark_type not in MARK_CHANNELS:
+    if mark_type not in MARK_TYPES:
         raise SceneFormatError(f"unknown mark type {mark_type!r}", path)
     channels = dict(doc.get("channels", {}))
-    for c in channels:
-        if c not in MARK_CHANNELS[mark_type]:
-            raise SceneFormatError(
-                f"channel {c!r} is not valid for mark type {mark_type!r}",
-                f"{path}.channels")
+    for c in ("width", "height"):
+        _field(channels, c, f"{path}.channels", _NUMBER, 0)
     mark = Mark(doc["id"], mark_type, channels,
                 source_node=doc.get("source_node"),
                 target_node=doc.get("target_node"),
                 tree_parent=doc.get("tree_parent"))
-    mark.data_scope = _parse_scope(doc.get("scope"), scene.datasets, f"{path}.scope")
+    mark.data_scope = _parse_scope(doc, path)
     for j, v_doc in enumerate(doc.get("vertices", [])):
-        vertex = Vertex(v_doc["id"], v_doc.get("x", 0.0), v_doc.get("y", 0.0),
-                        _parse_scope(v_doc.get("scope"), scene.datasets,
-                                     f"{path}.vertices[{j}]"),
+        v_path = f"{path}.vertices[{j}]"
+        vertex = Vertex(_id(v_doc, v_path), _field(v_doc, "x", v_path, _NUMBER, 0.0),
+                        _field(v_doc, "y", v_path, _NUMBER, 0.0),
+                        _parse_scope(v_doc, v_path),
                         v_doc.get("peer_set"))
         seen_ids.append(vertex.id)
         mark.vertices.append(vertex)
-    vertex_ids = {v.id for v in mark.vertices}
     for j, s_doc in enumerate(doc.get("segments", [])):
-        endpoints = tuple(s_doc.get("endpoints", ()))
-        if len(endpoints) != 2 or any(e not in vertex_ids for e in endpoints):
-            raise SceneFormatError("segment endpoints must name the mark's vertices",
-                                   f"{path}.segments[{j}]")
-        seg = Segment(s_doc["id"], endpoints, s_doc.get("kind", "line"),
-                      dict(s_doc.get("channels", {}) or {}))
+        s_path = f"{path}.segments[{j}]"
+        seg = Segment(_id(s_doc, s_path), tuple(_ids(s_doc, "endpoints", s_path)),
+                      s_doc.get("kind", "line"), dict(s_doc.get("channels", {}) or {}))
         seen_ids.append(seg.id)
         mark.segments.append(seg)
     return mark
 
 
-def _parse_group(scene, doc, path) -> Group:
-    group = Group(doc["id"], doc["kind"], members=list(doc.get("members", [])),
+def _parse_group(doc, path) -> Group:
+    group = Group(doc["id"], doc["kind"],
+                  members=_ids(doc, "members", path),
                   channels=dict(doc.get("channels", {})),
                   layout=doc.get("layout"),
                   layout_default=doc.get("layout_default", False),
                   provenance=doc.get("provenance"))
     offset = doc.get("offset", [0.0, 0.0])
     group.tx, group.ty = offset[0], offset[1]
-    group.data_scope = _parse_scope(doc.get("scope"), scene.datasets, f"{path}.scope")
+    group.data_scope = _parse_scope(doc, path)
     if group.layout is not None:
         from .layout import normalize_layout
         try:
@@ -395,24 +400,6 @@ def _parse_group(scene, doc, path) -> Group:
         except Exception as e:
             raise SceneFormatError(str(e), f"{path}.layout") from None
     return group
-
-
-def _check_invariants(scene: Scene):
-    for el in scene.elements.values():
-        if not isinstance(el, Group):
-            continue
-        if el.group_kind == "collection" and el.members:
-            problems = scene.check_collection(el)
-            if problems:
-                raise SceneFormatError(
-                    f"collection invariant violated: {problems[0]}",
-                    f"elements[{list(scene.elements).index(el.id)}]")
-        if el.group_kind == "glyph":
-            scopes = {scene.elements[m].data_scope for m in el.members}
-            if len(scopes) > 1:
-                raise SceneFormatError(
-                    "glyph members must share one data scope",
-                    f"elements[{list(scene.elements).index(el.id)}]")
 
 
 # ------------------------------------------------------------------- export

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 
-from .elements import Group, Mark, arc_point
+from .elements import Mark, arc_point
 from .encoding import scale_apply
 from .errors import SceneError
 from .ticks import nice_ticks

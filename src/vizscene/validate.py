@@ -1,7 +1,10 @@
-"""Structural invariant checks over a live scene.
+"""Checks over a live scene; the CLI ``validate`` prints one line per check.
 
-Each check returns pass/fail plus detail strings; the CLI ``validate``
-command prints one line per check and exits nonzero on any failure.
+The structural checks define a well-formed scene: ``deserialize_scene``
+raises on their first problem, so a document loads if and only if it passes
+them. The derived-state checks look at what propagation maintains. Each
+check yields ``(owner, message)``; the owner is the id of the record at
+fault, or a position in ``scene.roots``.
 """
 
 from __future__ import annotations
@@ -9,27 +12,18 @@ from __future__ import annotations
 from .constraints import TOLERANCE, evaluate_constraint
 from .elements import MARK_CHANNELS, Group, Mark
 from .encoding import encoding_peers, peer_value, scale_apply
-
-
-def _check(name, details):
-    return {"check": name, "status": "fail" if details else "pass",
-            "details": details}
+from .errors import SceneError
 
 
 def validate_scene(scene) -> list[dict]:
     if scene.dirty.any():
         scene.propagate()
-    report = [
-        _check("element-references", _element_references(scene)),
-        _check("scope-validity", _scope_validity(scene)),
-        _check("mark-geometry", _mark_geometry(scene)),
-        _check("glyph-scopes", _glyph_scopes(scene)),
-        _check("collection-structure", _collection_structure(scene)),
-        _check("peer-set-integrity", _peer_sets(scene)),
-        _check("encoding-consistency", _encodings(scene)),
-        _check("constraint-satisfaction", _constraints(scene)),
-        _check("scale-sync", _scale_sync(scene)),
-    ]
+    report = []
+    for name, check in STRUCTURAL_CHECKS + DERIVED_CHECKS:
+        details = [message if isinstance(owner, int) else f"{owner}: {message}"
+                   for owner, message in check(scene)]
+        report.append({"check": name, "status": "fail" if details else "pass",
+                       "details": details})
     return report
 
 
@@ -37,149 +31,183 @@ def passed(report) -> bool:
     return all(c["status"] == "pass" for c in report)
 
 
-def _element_references(scene):
-    problems = []
-    for el in scene.elements.values():
-        if el.parent not in (None, "__detached__") and el.parent not in scene.elements:
-            problems.append(f"{el.id}: parent {el.parent!r} missing")
+def element_references(scene):
+    """Members and parents name each other, roots have no parent, and the
+    roots reach every element exactly once."""
+    elements = scene.elements
+    for el in elements.values():
+        if el.parent is not None and el.parent not in elements:
+            yield el.id, f"parent {el.parent!r} missing"
         if isinstance(el, Group):
             for m in el.members:
-                if m not in scene.elements:
-                    problems.append(f"{el.id}: member {m!r} missing")
-    for r in scene.roots:
-        if r not in scene.elements:
-            problems.append(f"root {r!r} missing")
-    return problems
+                if m not in elements:
+                    yield el.id, f"member {m!r} missing"
+                elif elements[m].parent != el.id:
+                    yield el.id, f"member {m!r} does not name {el.id!r} as parent"
+    for i, r in enumerate(scene.roots):
+        if r not in elements:
+            yield i, f"root {r!r} missing"
+        elif elements[r].parent is not None:
+            yield i, f"root {r!r} has parent {elements[r].parent!r}"
+    reached = set()
+    stack = [r for r in scene.roots if r in elements]
+    while stack:
+        el_id = stack.pop()
+        if el_id in reached:
+            yield el_id, "appears twice in the tree"
+            continue
+        reached.add(el_id)
+        el = elements[el_id]
+        if isinstance(el, Group):
+            stack.extend(m for m in el.members if m in elements)
+    for el_id in elements:
+        if el_id not in reached:
+            yield el_id, "not reachable from the roots"
 
 
-def _scope_validity(scene):
-    problems = []
+def scope_validity(scene):
     for el in scene.elements.values():
-        scope = el.data_scope
-        if scope is None:
-            continue
-        if scope.dataset not in scene.datasets:
-            problems.append(f"{el.id}: unknown dataset {scope.dataset!r}")
-            continue
-        ds = scene.datasets[scope.dataset]
-        limit = len(ds.links) if scope.table == "links" else len(ds.items)
-        for i in scope.indices:
-            if i >= limit:
-                problems.append(f"{el.id}: scope index {i} out of range")
-    return problems
+        for message in _scope_problems(scene, el.data_scope):
+            yield el.id, message
+        if isinstance(el, Mark):
+            for v in el.vertices:
+                for message in _scope_problems(scene, v.data_scope):
+                    yield el.id, f"vertex {v.id}: {message}"
 
 
-def _mark_geometry(scene):
-    problems = []
+def _scope_problems(scene, scope):
+    if scope is None:
+        return
+    ds = scene.datasets.get(scope.dataset)
+    if ds is None:
+        yield f"unknown dataset {scope.dataset!r}"
+        return
+    rows = {"items": ds.items, "links": getattr(ds, "links", None)}.get(scope.table)
+    if rows is None:
+        yield f"unknown table {scope.table!r} in dataset {scope.dataset!r}"
+        return
+    for i in scope.indices:
+        if not 0 <= i < len(rows):
+            yield f"scope index {i} out of range"
+
+
+def mark_geometry(scene):
     for el in scene.elements.values():
         if not isinstance(el, Mark):
             continue
         vertex_ids = {v.id for v in el.vertices}
         for s in el.segments:
-            if any(e not in vertex_ids for e in s.endpoints):
-                problems.append(f"{el.id}: segment {s.id} has dangling endpoints")
+            if len(s.endpoints) != 2:
+                yield el.id, f"segment {s.id} needs two endpoints"
+            elif not vertex_ids.issuperset(s.endpoints):
+                yield el.id, f"segment {s.id} has dangling endpoints"
         if el.type == "rectangle":
             if len(el.vertices) != 4 or len(el.segments) != 4:
-                problems.append(f"{el.id}: rectangle needs 4 vertices and 4 segments")
+                yield el.id, "rectangle needs 4 vertices and 4 segments"
             else:
-                box = scene.bbox_in_parent(el)
-                if abs((box[2] - box[0]) - el.channels.get("width", 0)) > TOLERANCE:
-                    problems.append(f"{el.id}: bbox width differs from width channel")
+                corner = el.vertices[2]
+                if (abs(corner.x - el.channels.get("width", 0)) > TOLERANCE
+                        or abs(corner.y - el.channels.get("height", 0)) > TOLERANCE):
+                    yield el.id, (f"far corner ({corner.x}, {corner.y}) differs from "
+                                  f"the width and height channels")
         for c in el.channels:
             if c not in MARK_CHANNELS[el.type]:
-                problems.append(f"{el.id}: channel {c!r} invalid for {el.type}")
-    return problems
+                yield el.id, f"channel {c!r} invalid for {el.type}"
 
 
-def _glyph_scopes(scene):
-    problems = []
+def glyph_scopes(scene):
     for el in scene.elements.values():
         if isinstance(el, Group) and el.group_kind == "glyph":
             scopes = {scene.elements[m].data_scope for m in el.members}
             if len(scopes) > 1:
-                problems.append(f"{el.id}: glyph members carry different scopes")
+                yield el.id, "glyph members carry different scopes"
             elif el.members and el.data_scope != next(iter(scopes)):
-                problems.append(f"{el.id}: glyph scope differs from member scope")
-    return problems
+                yield el.id, "glyph scope differs from member scope"
 
 
-def _collection_structure(scene):
-    problems = []
+def collection_structure(scene):
     for el in scene.elements.values():
         if isinstance(el, Group) and el.group_kind == "collection" and el.members:
-            for p in scene.check_collection(el):
-                problems.append(f"{el.id}: {p}")
-    return problems
+            for p in scene.collection_problems(scene.children(el), el.data_scope):
+                yield el.id, p
 
 
-def _peer_sets(scene):
-    problems = []
+def peer_set_integrity(scene):
+    members_of = {}
     for ps in scene.peer_sets.values():
+        members_of[ps.id] = set(ps.members)
         for m in ps.members:
             try:
                 member = scene.resolve(m)
-            except Exception:
-                problems.append(f"{ps.id}: member {m!r} missing")
+            except SceneError:
+                yield ps.id, f"member {m!r} missing"
                 continue
             if member.peer_set != ps.id:
-                problems.append(f"{ps.id}: member {m!r} does not point back")
+                yield ps.id, f"member {m!r} does not point back"
     for el in scene.elements.values():
-        if el.peer_set is not None:
-            ps = scene.peer_sets.get(el.peer_set)
-            if ps is None or el.id not in ps.members:
-                problems.append(f"{el.id}: stale peer set {el.peer_set!r}")
-    return problems
+        if el.peer_set is not None and el.id not in members_of.get(el.peer_set, ()):
+            yield el.id, f"stale peer set {el.peer_set!r}"
 
 
 def _encodings(scene):
-    problems = []
     for enc in scene.encodings.values():
         scale = scene.scales.get(enc.scale)
         if scale is None:
-            problems.append(f"{enc.id}: scale {enc.scale!r} missing")
+            yield enc.id, f"scale {enc.scale!r} missing"
             continue
         for peer in encoding_peers(scene, enc):
             try:
                 expected = scale_apply(scale, peer_value(scene, peer, enc.attribute,
                                                          enc.aggregator))
             except Exception as e:
-                problems.append(f"{enc.id}: {e}")
+                yield enc.id, str(e)
                 continue
             actual = scene.get_channel(peer, enc.channel)
             if enc.channel == "text":
                 continue
             if isinstance(expected, (int, float)) and isinstance(actual, (int, float)):
                 if abs(expected - actual) > TOLERANCE:
-                    problems.append(
-                        f"{enc.id}: {peer.id}.{enc.channel} = {actual}, expected {expected}")
+                    yield enc.id, f"{peer.id}.{enc.channel} = {actual}, expected {expected}"
             elif expected != actual:
-                problems.append(
-                    f"{enc.id}: {peer.id}.{enc.channel} = {actual!r}, expected {expected!r}")
-    return problems
+                yield enc.id, f"{peer.id}.{enc.channel} = {actual!r}, expected {expected!r}"
 
 
 def _constraints(scene):
     """A constraint holds when a dry run of its evaluator, the one that
     propagation runs, would change nothing."""
-    problems = []
     for spec in scene.constraints.values():
         try:
             moved, problem = evaluate_constraint(scene, spec, write=False)
         except Exception as e:
-            problems.append(f"{spec.id}: {e}")
+            yield spec.id, str(e)
             continue
         if problem:
-            problems.append(f"{spec.id}: {problem}")
+            yield spec.id, problem
         elif moved:
-            problems.append(f"{spec.id}: {spec.kind} constraint not satisfied; "
+            yield spec.id, (f"{spec.kind} constraint not satisfied; "
                             f"enforcing it would change {len(moved)} element(s)")
-    return problems
 
 
 def _scale_sync(scene):
-    problems = []
     for gid, ids in scene.sync_groups.items():
         domains = [tuple(scene.scales[s].domain) for s in ids if s in scene.scales]
         if len(set(domains)) > 1:
-            problems.append(f"{gid}: synced scales hold different domains")
-    return problems
+            yield gid, "synced scales hold different domains"
+
+
+# In order: later structural checks index members, which element-references
+# guarantees resolve.
+STRUCTURAL_CHECKS = (
+    ("element-references", element_references),
+    ("scope-validity", scope_validity),
+    ("mark-geometry", mark_geometry),
+    ("glyph-scopes", glyph_scopes),
+    ("collection-structure", collection_structure),
+    ("peer-set-integrity", peer_set_integrity),
+)
+
+DERIVED_CHECKS = (
+    ("encoding-consistency", _encodings),
+    ("constraint-satisfaction", _constraints),
+    ("scale-sync", _scale_sync),
+)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vizscene as vz
-from vizscene.elements import MARK_TYPES, DataScope
+from vizscene.elements import MARK_TYPES, DataScope, union_scopes
 from vizscene.errors import ChannelError, SceneError
 from vizscene.scene import scopes_disjoint
 
@@ -290,6 +290,32 @@ class TestGroupKind:
                        for i in range(len(scopes))
                        for j in range(i + 1, len(scopes)))
         assert scopes_disjoint(scopes) == pairwise
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.none() | st.builds(
+        DataScope,
+        dataset=st.sampled_from(["survey", "months"]),
+        indices=st.lists(st.integers(0, 6), max_size=4),
+        table=st.sampled_from(["items", "links"])), max_size=6))
+    def test_union_agrees_with_pairwise_fold(self, scopes):
+        def pairwise(scopes):
+            out = None
+            for s in scopes:
+                if s is None:
+                    continue
+                if out is not None and (s.dataset, s.table) != (out.dataset, out.table):
+                    raise SceneError("cannot union data scopes over different datasets")
+                out = s if out is None else DataScope(
+                    s.dataset, tuple(set(out.indices) | set(s.indices)), s.table)
+            return out
+
+        try:
+            expected = pairwise(scopes)
+        except SceneError:
+            with pytest.raises(SceneError, match="different datasets"):
+                union_scopes(scopes)
+        else:
+            assert union_scopes(scopes) == expected
 
     def test_index_repeated_inside_one_scope_is_not_an_overlap(self):
         assert scopes_disjoint([DataScope("survey", (0, 0)), DataScope("survey", (1,))])

@@ -1,9 +1,17 @@
+import copy
+import functools
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vizscene as vz
+from vizscene.elements import DataScope
 from vizscene.errors import SceneFormatError
+from vizscene.validate import STRUCTURAL_CHECKS
 
 from conftest import build_diverging_bar
 
@@ -184,3 +192,148 @@ class TestStructureGuards:
         doc["roots"].remove(outer["id"])
         with pytest.raises(SceneFormatError):
             vz.deserialize_scene(json.dumps(doc))
+
+
+def _index(doc, record_id, table="elements"):
+    return next(i for i, r in enumerate(doc[table]) if r["id"] == record_id)
+
+
+def _add_dangling_member(doc):
+    doc["elements"][_index(doc, "col-53")]["members"].append("el-999")
+
+
+def _move_member_to_other_group(doc):
+    doc["elements"][_index(doc, "mark-54")]["parent"] = "col-90"
+
+
+def _give_root_a_parent(doc):
+    doc["elements"][_index(doc, "col-10")]["parent"] = "col-220"
+
+
+def _make_membership_cycle(doc):
+    outer = doc["elements"][_index(doc, "col-10")]
+    a, b = doc["elements"][_index(doc, "col-53")], doc["elements"][_index(doc, "col-90")]
+    outer["members"] = [m for m in outer["members"] if m not in (a["id"], b["id"])]
+    a["members"].append(b["id"])
+    b["parent"] = a["id"]
+    b["members"].append(a["id"])
+    a["parent"] = b["id"]
+
+
+def _unknown_vertex_dataset(doc):
+    doc["elements"][_index(doc, "mark-54")]["vertices"][0]["scope"] = {
+        "dataset": "ghost", "table": "items", "indices": [0]}
+
+
+def _set_scope_index(value):
+    def mutate(doc):
+        doc["elements"][_index(doc, "mark-54")]["scope"]["indices"] = [value]
+    return mutate
+
+
+def _one_endpoint_segment(doc):
+    segment = doc["elements"][_index(doc, "mark-54")]["segments"][0]
+    segment["endpoints"] = segment["endpoints"][:1]
+
+
+def _overlap_collection(doc):
+    doc["elements"][_index(doc, "mark-63")]["scope"]["indices"] = [0]
+
+
+def _missing_peer_member(doc):
+    doc["peer_sets"][_index(doc, "peers-205", "peer_sets")]["members"].append("mark-999")
+
+
+def _break_peer_back_pointer(doc):
+    del doc["elements"][_index(doc, "mark-54")]["peer_set"]
+
+
+class TestStructuralRulesAtLoad:
+    """A document loads only if it passes every structural check; the error
+    names the record the first failing rule is about."""
+
+    @pytest.mark.parametrize("mutate, record, message", [
+        (_add_dangling_member, ("elements", "col-53"), "member 'el-999' missing"),
+        (_move_member_to_other_group, ("elements", "col-53"),
+         "member 'mark-54' does not name 'col-53' as parent"),
+        (_give_root_a_parent, ("roots", 0), "root 'col-10' has parent 'col-220'"),
+        (_make_membership_cycle, ("elements", "col-53"), "not reachable from the roots"),
+        (_unknown_vertex_dataset, ("elements", "mark-54"), "unknown dataset 'ghost'"),
+        (_set_scope_index(-1), ("elements", "mark-54"), "scope index -1 out of range"),
+        (_set_scope_index(16), ("elements", "mark-54"), "scope index 16 out of range"),
+        (_one_endpoint_segment, ("elements", "mark-54"), "needs two endpoints"),
+        (_overlap_collection, ("elements", "col-53"),
+         "member scopes overlap: mark-54 and mark-63"),
+        (_missing_peer_member, ("peer_sets", "peers-205"), "member 'mark-999' missing"),
+        (_break_peer_back_pointer, ("peer_sets", "peers-205"),
+         "member 'mark-54' does not point back"),
+    ])
+    def test_invalid_document_names_its_record(self, mutate, record, message):
+        s, _ = build_diverging_bar()
+        doc = json.loads(vz.serialize_scene(s))
+        table, key = record
+        mutate(doc)
+        position = key if table == "roots" else _index(doc, key, table)
+        with pytest.raises(SceneFormatError, match=re.escape(message)) as err:
+            vz.deserialize_scene(json.dumps(doc))
+        assert err.value.path == f"{table}[{position}]"
+
+    def test_glyph_with_mixed_member_scopes(self, survey):
+        s = vz.create_scene()
+        s.add_dataset(survey)
+        marks = [s.create_mark("circle"), s.create_mark("text")]
+        for m in marks:
+            m.data_scope = DataScope("survey", (0,))
+        glyph = s.create_glyph(marks)
+        doc = json.loads(vz.serialize_scene(s))
+        doc["elements"][_index(doc, marks[1].id)]["scope"]["indices"] = [1]
+        with pytest.raises(SceneFormatError, match="glyph members carry different scopes") as err:
+            vz.deserialize_scene(json.dumps(doc))
+        assert err.value.path == f"elements[{_index(doc, glyph.id)}]"
+
+
+MUTANT_VALUES = (None, -1, 10**6, "ghost", [], {}, 1.5, True)
+GALLERY = Path(__file__).resolve().parent.parent / "gallery"
+
+
+@functools.cache
+def _gallery_documents():
+    manifest = json.loads((GALLERY / "manifest.json").read_text())
+    docs = {}
+    for chart, files in sorted(manifest.items()):
+        datasets = {}
+        for name, path in files.items():
+            load = vz.import_network if path.endswith(".json") else vz.import_table
+            datasets[name] = load((GALLERY / path).read_bytes(), name)
+        steps = json.loads((GALLERY / "pipelines" / f"{chart}.json").read_text())
+        docs[chart] = json.loads(vz.serialize_scene(vz.execute_pipeline(steps, datasets).scene))
+    return docs
+
+
+def _field_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_mutated_gallery_document_that_loads_passes_every_structural_check(data):
+    docs = _gallery_documents()
+    doc = copy.deepcopy(docs[data.draw(st.sampled_from(sorted(docs)))])
+    path = data.draw(st.sampled_from(list(_field_paths(doc))))
+    holder = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+    if data.draw(st.booleans()):
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(MUTANT_VALUES)))
+    try:
+        scene = vz.deserialize_scene(json.dumps(doc))
+    except Exception:
+        # rejected; record kinds without shape checks (scales, encodings,
+        # aux, view, ...) can still fail with a raw exception
+        return
+    for name, check in STRUCTURAL_CHECKS:
+        assert list(check(scene)) == [], name
