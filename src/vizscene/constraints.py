@@ -9,10 +9,11 @@ axis, so e.g. right-aligning bars inside horizontal stacks shifts whole rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .data import canonical_order
 from .elements import Group, Mark
-from .errors import ConstraintError
+from .errors import ConstraintError, VizSceneError
 
 EDGES = ("left", "right", "top", "bottom", "center_x", "center_y")
 
@@ -89,6 +90,82 @@ def _store_selection(scene, elements, original):
     return [e.id for e in elements]
 
 
+# --------------------------------------------------------------- resolution
+
+
+@dataclass
+class Resolution:
+    """What one constraint reads, from ``resolve_constraint``. It stays
+    valid while the element structure does: within one propagation pass,
+    where layouts only move and resize and constraints only translate, or
+    right after it is made. It is never kept on the scene."""
+    reads: set  # ids read or written, for dirtiness tracking
+    targets: list = field(default_factory=list)  # align: selected targets
+    # elements the constraint translates: for an align, the movable unit of
+    # each target, in target order; for an affix, the follower units
+    units: list = field(default_factory=list)
+    pairs: list = field(default_factory=list)  # affix: (follower, anchor)
+    problem: str | None = None  # affix: why its followers do not pair
+    # translating one unit can shift or stretch an element another unit
+    # carries, so one round of writes need not leave the constraint holding
+    nested: bool = False
+
+
+def resolve_constraint(scene, spec: ConstraintSpec) -> Resolution:
+    """Resolve a constraint's selectors; raises a ``VizSceneError`` when one
+    names an element that is gone."""
+    params = spec.params
+    if spec.kind == "align":
+        targets = scene.select(params["targets"])
+        axis = edge_axis(params["edge"])
+        units = [movable_unit(scene, el, axis) for el in targets]
+        # streamed, not listed: a live tuple per element makes the garbage
+        # collector run more often, full collections included
+        carriers = chain(((t, u.id) for t, u in zip(targets, units)),
+                         ((u, u.id) for u in units))
+        return Resolution({e.id for e in targets} | {u.id for u in units},
+                          targets=targets, units=units,
+                          nested=_nested(scene, carriers))
+    if spec.kind == "affix":
+        followers = scene.select(params["followers"])
+        anchors = scene.select(params["anchors"])
+        reads = {e.id for e in followers} | {e.id for e in anchors}
+        follower_units = _expand_pairing_units(scene, followers)
+        anchor_units = _expand_pairing_units(scene, anchors)
+        try:
+            pairs = _pair(scene, follower_units, anchor_units)
+        except ConstraintError as e:
+            return Resolution(reads, units=follower_units, problem=str(e))
+        carriers = chain(((f, f.id) for f in follower_units),
+                         ((a, None) for a in anchor_units))
+        return Resolution(reads, units=follower_units, pairs=pairs,
+                          nested=_nested(scene, carriers))
+    if spec.kind == "order":
+        group = scene.elements.get(params["group"])
+        return Resolution(set() if group is None else {group.id} | set(group.members))
+    if spec.kind == "z_order":
+        return Resolution(set(params["elements"]))
+    raise ConstraintError(f"unknown constraint kind {spec.kind!r}")
+
+
+def _nested(scene, carriers) -> bool:
+    """``carriers`` pairs each element a constraint reads with the id of the
+    unit whose translation carries it (None for an affix anchor, which never
+    moves). True when one read element lies inside another that a different
+    unit carries, or one element has two carriers."""
+    carrier = {}
+    for el, unit_id in carriers:
+        if carrier.setdefault(el.id, unit_id) != unit_id:
+            return True
+    for el_id, unit_id in carrier.items():
+        cur = scene.elements.get(el_id)
+        while cur is not None and cur.parent not in (None, "__detached__"):
+            if cur.parent in carrier and carrier[cur.parent] != unit_id:
+                return True
+            cur = scene.elements[cur.parent]
+    return False
+
+
 # -------------------------------------------------------------------- align
 
 
@@ -96,13 +173,9 @@ def position_claims(scene, axis: str) -> set:
     """Element ids whose position on the axis is written by a constraint."""
     claimed = set()
     for spec in scene.constraints.values():
-        if spec.kind == "align" and edge_axis(spec.params["edge"]) == axis:
-            for el in scene.select(spec.params["targets"]):
-                claimed.add(movable_unit(scene, el, axis).id)
-        elif spec.kind == "affix":
-            for el in _expand_pairing_units(
-                    scene, scene.select(spec.params["followers"])):
-                claimed.add(el.id)
+        if spec.kind == "affix" or (
+                spec.kind == "align" and edge_axis(spec.params["edge"]) == axis):
+            claimed.update(u.id for u in resolve_constraint(scene, spec).units)
     return claimed
 
 
@@ -144,21 +217,21 @@ def _check_alignment_conflicts(scene, units, axis):
     for other in scene.constraints.values():
         if other.kind != "align" or edge_axis(other.params["edge"]) != axis:
             continue
-        existing = scene.select(other.params["targets"])
-        other_units = {movable_unit(scene, e, axis).id for e in existing}
+        other_units = {u.id for u in resolve_constraint(scene, other).units}
         if unit_ids & other_units:
             raise ConstraintError(
                 f"axis {axis!r} of {sorted(unit_ids & other_units)} is already "
                 f"driven by alignment {other.id}")
 
 
-def evaluate_align(scene, spec: ConstraintSpec, *, write: bool):
-    elements = scene.select(spec.params["targets"])
-    if len(elements) < 2:
+def evaluate_align(scene, spec: ConstraintSpec, *, write: bool,
+                   resolution: Resolution | None = None):
+    r = resolve_constraint(scene, spec) if resolution is None else resolution
+    if len(r.targets) < 2:
         return set(), None
     edge = spec.params["edge"]
     axis = edge_axis(edge)
-    values = [edge_value(scene.bbox(el), edge) for el in elements]
+    values = [edge_value(scene.bbox(el), edge) for el in r.targets]
     if edge in ("left", "top"):
         ref = min(values)
     elif edge in ("right", "bottom"):
@@ -166,8 +239,7 @@ def evaluate_align(scene, spec: ConstraintSpec, *, write: bool):
     else:
         ref = sum(values) / len(values)
     deltas = {}
-    for el, value in zip(elements, values):
-        unit = movable_unit(scene, el, axis)
+    for unit, value in zip(r.units, values):
         want = ref - value
         if unit.id in deltas and abs(deltas[unit.id] - want) > TOLERANCE:
             return set(), f"alignment {spec.id} needs two translations of {unit.id}"
@@ -253,19 +325,15 @@ def _pair(scene, follower_units, anchor_units):
     return pairs
 
 
-def evaluate_affix(scene, spec: ConstraintSpec, *, write: bool):
-    followers = _expand_pairing_units(
-        scene, scene.select(spec.params["followers"]))
-    anchors = _expand_pairing_units(
-        scene, scene.select(spec.params["anchors"]))
-    try:
-        pairs = _pair(scene, followers, anchors)
-    except ConstraintError as e:
-        return set(), str(e)
+def evaluate_affix(scene, spec: ConstraintSpec, *, write: bool,
+                   resolution: Resolution | None = None):
+    r = resolve_constraint(scene, spec) if resolution is None else resolution
+    if r.problem:
+        return set(), r.problem
     point = spec.params["anchor_point"]
     dx, dy = spec.params["dx"], spec.params["dy"]
     moved = set()
-    for follower, anchor in pairs:
+    for follower, anchor in r.pairs:
         ax, ay = bbox_point(scene.bbox(anchor), point)
         fx, fy = bbox_point(scene.bbox(follower), point)
         ddx, ddy = ax + dx - fx, ay + dy - fy
@@ -371,14 +439,16 @@ def evaluate_z_order(scene, spec: ConstraintSpec, *, write: bool):
 # --------------------------------------------------------------- evaluation
 
 
-def evaluate_constraint(scene, spec: ConstraintSpec, *, write: bool):
+def evaluate_constraint(scene, spec: ConstraintSpec, *, write: bool,
+                        resolution: Resolution | None = None):
     """Returns (moved element ids, problem or None). With ``write=False``
     nothing changes and the ids are those a real run would move, so an
-    empty set with no problem means the constraint holds."""
+    empty set with no problem means the constraint holds. An align or affix
+    reads ``resolution`` when given, else resolves its selectors now."""
     if spec.kind == "align":
-        return evaluate_align(scene, spec, write=write)
+        return evaluate_align(scene, spec, write=write, resolution=resolution)
     if spec.kind == "affix":
-        return evaluate_affix(scene, spec, write=write)
+        return evaluate_affix(scene, spec, write=write, resolution=resolution)
     if spec.kind == "order":
         return evaluate_order(scene, spec, write=write)
     if spec.kind == "z_order":
@@ -387,24 +457,10 @@ def evaluate_constraint(scene, spec: ConstraintSpec, *, write: bool):
 
 
 def constraint_elements(scene, spec: ConstraintSpec) -> set:
-    """Ids the constraint reads or writes, for dirtiness tracking."""
+    """Ids the constraint reads or writes, for dirtiness tracking outside a
+    propagation pass; a constraint whose selectors no longer resolve reads
+    nothing, and propagation reports it as unsatisfied."""
     try:
-        if spec.kind == "align":
-            els = scene.select(spec.params["targets"])
-            axis = edge_axis(spec.params["edge"])
-            units = [movable_unit(scene, e, axis) for e in els]
-            return {e.id for e in els} | {u.id for u in units}
-        if spec.kind == "affix":
-            els = scene.select(spec.params["followers"])
-            els += scene.select(spec.params["anchors"])
-            return {e.id for e in els}
-        if spec.kind == "order":
-            group = scene.elements.get(spec.params["group"])
-            if group is None:
-                return set()
-            return {group.id} | set(group.members)
-        if spec.kind == "z_order":
-            return set(spec.params["elements"])
-    except Exception:
+        return resolve_constraint(scene, spec).reads
+    except VizSceneError:
         return set()
-    return set()

@@ -145,12 +145,6 @@ class Mark:
     def kind(self):
         return "mark"
 
-    def vertex(self, vertex_id: str) -> Vertex:
-        for v in self.vertices:
-            if v.id == vertex_id:
-                return v
-        raise SceneError(f"mark {self.id} has no vertex {vertex_id}")
-
 
 @dataclass
 class Group:

@@ -206,15 +206,15 @@ def _check_channel_for(peer, channel: str):
             raise EncodingError(f"channel {channel!r} is not valid for a group")
 
 
-def _position_conflict(scene, peer, channel: str):
-    from .constraints import position_claims
+def _position_conflict(scene, peer, channel: str, claims: set):
+    """``claims``: the ids whose position on ``channel`` a constraint writes."""
     from .layout import owns_axis
     if channel not in ("x", "y"):
         return
     holder = peer if not isinstance(peer, (Vertex, Segment)) else None
     if holder is None:
         return
-    if holder.id in position_claims(scene, channel):
+    if holder.id in claims:
         raise EncodingError(
             f"channel {channel!r} of {holder.id} is positioned by a relational "
             f"constraint; remove the constraint before encoding it")
@@ -230,8 +230,10 @@ def _position_conflict(scene, peer, channel: str):
 def apply_encoding(scene, element, channel: str, attribute: str,
                    scale: Scale | str | None = None,
                    aggregator: str | None = None) -> Encoding:
+    from .constraints import position_claims
     el = scene.resolve(element)
     peers = scene.peers_of(el)
+    claims = position_claims(scene, channel) if channel in ("x", "y") else set()
     for peer in peers:
         _check_channel_for(peer, channel)
         scope = peer.data_scope
@@ -241,7 +243,7 @@ def apply_encoding(scene, element, channel: str, attribute: str,
         if scope.table == "items" and not dataset.has_attribute(attribute):
             raise EncodingError(
                 f"attribute {attribute!r} missing from scope of {peer.id}")
-        _position_conflict(scene, peer, channel)
+        _position_conflict(scene, peer, channel, claims)
 
     if el.peer_set is None:
         scene.make_peer_set([el])

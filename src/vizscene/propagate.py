@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 
 from .elements import Group, Mark
+from .errors import VizSceneError
 
 MAX_CONSTRAINT_ROUNDS_PAD = 2
 
@@ -63,7 +64,7 @@ def _ancestor_layouts(scene, el_id: str) -> set:
 
 
 def run_propagation(scene) -> PropagationReport:
-    from .constraints import constraint_elements, evaluate_constraint
+    from .constraints import constraint_elements, evaluate_constraint, resolve_constraint
     from .encoding import evaluate_encoding
     from .layout import evaluate_layout
 
@@ -100,10 +101,10 @@ def run_propagation(scene) -> PropagationReport:
                 report.evaluated.append(f"encoding:{eid}")
 
         # ordering constraints change layout input order, so they run first
-        changed_now = _closure(scene, sized | moved)
-        for cid, spec in scene.constraints.items():
-            if spec.kind != "order":
-                continue
+        orders = [(cid, spec) for cid, spec in scene.constraints.items()
+                  if spec.kind == "order"]
+        changed_now = _closure(scene, sized | moved) if orders else set()
+        for cid, spec in orders:
             if structure or cid in dirty_constraints or (
                     constraint_elements(scene, spec) & changed_now):
                 reordered, problem = evaluate_constraint(scene, spec, write=True)
@@ -157,14 +158,22 @@ def run_propagation(scene) -> PropagationReport:
                         pending.add(anc)
                         heapq.heappush(heap, entry(anc))
 
-        # relational constraints to fixpoint, declaration order
-        changed_now = _closure(scene, sized | moved)
+        # relational constraints to fixpoint, declaration order. From here on
+        # the pass only moves and resizes elements, so each constraint's
+        # selectors are resolved once and the resolutions die with the pass.
+        # `changed` gathers every element a move touched, for link wiring.
+        changed = _closure(scene, sized | moved)
+        resolutions = {}
         pending_cons = set()
         for cid, spec in scene.constraints.items():
             if spec.kind == "order":
                 continue
-            if structure or cid in dirty_constraints or (
-                    constraint_elements(scene, spec) & changed_now):
+            try:
+                resolutions[cid] = r = resolve_constraint(scene, spec)
+            except VizSceneError as e:
+                report.unsatisfied.append(f"{cid}: {e}")
+                continue
+            if structure or cid in dirty_constraints or r.reads & changed:
                 pending_cons.add(cid)
         rounds = len(scene.constraints) + MAX_CONSTRAINT_ROUNDS_PAD
         for _ in range(rounds):
@@ -176,17 +185,20 @@ def run_propagation(scene) -> PropagationReport:
                 if cid not in pending_cons:
                     continue
                 pending_cons.discard(cid)
-                cons_moved, problem = evaluate_constraint(scene, spec, write=True)
+                r = resolutions[cid]
+                cons_moved, problem = evaluate_constraint(scene, spec, write=True,
+                                                          resolution=r)
                 report.evaluated.append(f"constraint:{cid}")
                 if problem:
                     report.unsatisfied.append(f"{cid}: {problem}")
                 if cons_moved:
-                    moved |= cons_moved
                     moves.append(_closure(scene, cons_moved))
+                    changed |= moves[-1]
                     # translations of nested elements disturb one another, so
-                    # a constraint that does not hold after its own moves runs
-                    # again
-                    if evaluate_constraint(scene, spec, write=False) != (set(), None):
+                    # a nested constraint that does not hold after its own
+                    # moves runs again; any other holds by construction
+                    if r.nested and evaluate_constraint(
+                            scene, spec, write=False, resolution=r) != (set(), None):
                         pending_cons.add(cid)
                 read_up_to[cid] = len(moves)
             if moves:
@@ -196,12 +208,11 @@ def run_propagation(scene) -> PropagationReport:
                 for i, closure in enumerate(moves):
                     for el_id in closure:
                         last_move[el_id] = i
-                for cid, spec in scene.constraints.items():
-                    if spec.kind == "order" or cid in pending_cons:
+                for cid, r in resolutions.items():
+                    if cid in pending_cons:
                         continue
                     unread = read_up_to.get(cid, 0)
-                    if any(last_move.get(el_id, -1) >= unread
-                           for el_id in constraint_elements(scene, spec)):
+                    if any(last_move.get(el_id, -1) >= unread for el_id in r.reads):
                         pending_cons.add(cid)
         else:
             if pending_cons:
@@ -209,7 +220,7 @@ def run_propagation(scene) -> PropagationReport:
                     "constraint system did not settle: " + ", ".join(sorted(pending_cons)))
 
         # node-link wiring: link endpoints follow their node elements
-        _update_links(scene, _closure(scene, sized | moved), structure, report)
+        _update_links(scene, changed, structure, report)
     finally:
         scene._suspended -= 1
     scene.dirty.clear()

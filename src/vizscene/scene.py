@@ -94,6 +94,8 @@ class Scene:
         self._counter = 1
         self._vertex_owner: dict[str, str] = {}
         self._segment_owner: dict[str, str] = {}
+        # vertex/segment id -> position in its owner's list
+        self._part_position: dict[str, int] = {}
         self._suspended = 0
 
     # ------------------------------------------------------------------ ids
@@ -142,11 +144,14 @@ class Scene:
         return el
 
     def index_mark(self, mark: Mark):
-        """(Re)record which mark owns each of its vertices and segments."""
-        for v in mark.vertices:
+        """(Re)record which mark owns each of its vertices and segments, and
+        where each sits in the mark's list."""
+        for i, v in enumerate(mark.vertices):
             self._vertex_owner[v.id] = mark.id
-        for s in mark.segments:
-            self._segment_owner[s.id] = mark.id
+            self._part_position[v.id] = i
+        for i, seg in enumerate(mark.segments):
+            self._segment_owner[seg.id] = mark.id
+            self._part_position[seg.id] = i
 
     def unregister(self, el_id: str):
         el = self.elements.pop(el_id, None)
@@ -161,12 +166,14 @@ class Scene:
         if isinstance(el, Mark):
             for v in el.vertices:
                 self._vertex_owner.pop(v.id, None)
+                self._part_position.pop(v.id, None)
                 if v.peer_set and v.peer_set in self.peer_sets:
                     ps = self.peer_sets[v.peer_set].members
                     if v.id in ps:
                         ps.remove(v.id)
             for s in el.segments:
                 self._segment_owner.pop(s.id, None)
+                self._part_position.pop(s.id, None)
         if isinstance(el, Group):
             for m in list(el.members):
                 self.unregister(m)
@@ -205,13 +212,23 @@ class Scene:
         if target in self.elements:
             return self.elements[target]
         if target in self._vertex_owner:
-            return self.elements[self._vertex_owner[target]].vertex(target)
+            return self.vertex(target)
         if target in self._segment_owner:
-            mark = self.elements[self._segment_owner[target]]
-            for s in mark.segments:
-                if s.id == target:
-                    return s
+            return self._indexed_part(self._segment_owner, target, "segments")
         raise SceneError(f"unknown element {target!r}")
+
+    def vertex(self, vertex_id: str) -> Vertex:
+        return self._indexed_part(self._vertex_owner, vertex_id, "vertices")
+
+    def _indexed_part(self, index, part_id: str, field: str):
+        """Look a vertex or segment up by its indexed position, without a
+        scan; the position is checked, because a mark whose geometry shrinks
+        drops parts the index still names."""
+        parts = getattr(self.elements.get(index.get(part_id)), field, ())
+        i = self._part_position.get(part_id, -1)
+        if 0 <= i < len(parts) and parts[i].id == part_id:
+            return parts[i]
+        raise SceneError(f"unknown element {part_id!r}")
 
     def select(self, selection) -> list:
         """Elements named by a selector: an element, vertex or segment (or its
@@ -331,9 +348,8 @@ class Scene:
             y = mark.channels.get("y", 0) + el.y + oy
             return (x, y, x, y)
         if isinstance(el, Segment):
-            mark = self.owner_mark(el)
-            a = self.bbox(mark.vertex(el.endpoints[0]))
-            b = self.bbox(mark.vertex(el.endpoints[1]))
+            a = self.bbox(self.vertex(el.endpoints[0]))
+            b = self.bbox(self.vertex(el.endpoints[1]))
             return (min(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3]))
         ox, oy = self.ancestor_offset(el)
         l, t, r, b = self.bbox_in_parent(el)
@@ -461,8 +477,7 @@ class Scene:
             if channel in ("stroke", "stroke_width"):
                 return el.channels.get(channel)
             if channel in ("x", "y"):
-                mark = self.owner_mark(el)
-                a, b = (mark.vertex(v) for v in el.endpoints)
+                a, b = (self.vertex(v) for v in el.endpoints)
                 return (a.x + b.x) / 2 if channel == "x" else (a.y + b.y) / 2
             raise ChannelError(f"channel {channel!r} is not valid for a segment")
         raise SceneError("unsupported element")
@@ -515,7 +530,7 @@ class Scene:
                         f"segment positions of a {mark.type} derive from its size channels")
                 changed = False
                 for vid in el.endpoints:
-                    v = mark.vertex(vid)
+                    v = self.vertex(vid)
                     if getattr(v, channel) != value:
                         setattr(v, channel, value)
                         changed = True

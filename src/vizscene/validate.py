@@ -159,10 +159,10 @@ def _encodings(scene):
             try:
                 expected = scale_apply(scale, peer_value(scene, peer, enc.attribute,
                                                          enc.aggregator))
+                actual = scene.get_channel(peer, enc.channel)
             except Exception as e:
                 yield enc.id, str(e)
                 continue
-            actual = scene.get_channel(peer, enc.channel)
             if enc.channel == "text":
                 continue
             if isinstance(expected, (int, float)) and isinstance(actual, (int, float)):

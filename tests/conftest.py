@@ -1,4 +1,5 @@
 import json
+import pathlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import vizscene as vz
 
 AGES = ["below 30", "30 - 50", "50 - 70", "above 70"]
 RESPONSES = ["strongly agree", "agree", "disagree", "strongly disagree"]
+GALLERY = pathlib.Path(__file__).resolve().parent.parent / "gallery"
 PCTS = [
     [20, 30, 30, 20],
     [25, 35, 25, 15],
@@ -111,3 +113,18 @@ def scope_partition(scene, collection):
     for sc in scopes:
         union |= sc
     return scopes, union
+
+
+def build_gallery_scenes():
+    """Every gallery chart built from its pipeline, by manifest name:
+    network datasets from ``.json`` files, tables otherwise."""
+    manifest = json.loads((GALLERY / "manifest.json").read_text())
+    scenes = {}
+    for chart, files in sorted(manifest.items()):
+        datasets = {}
+        for name, path in files.items():
+            load = vz.import_network if path.endswith(".json") else vz.import_table
+            datasets[name] = load((GALLERY / path).read_bytes(), name)
+        steps = json.loads((GALLERY / "pipelines" / f"{chart}.json").read_text())
+        scenes[chart] = vz.execute_pipeline(steps, datasets).scene
+    return scenes

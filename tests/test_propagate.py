@@ -2,10 +2,12 @@ import json
 import pathlib
 
 import vizscene as vz
-from vizscene.constraints import evaluate_constraint
+from vizscene import constraints
+from vizscene.constraints import evaluate_constraint, resolve_constraint
 from vizscene.pipeline import execute_pipeline
+from vizscene.scene import Scene
 
-from conftest import build_diverging_bar
+from conftest import build_diverging_bar, build_gallery_scenes
 
 GALLERY = pathlib.Path(__file__).resolve().parent.parent / "gallery"
 
@@ -114,6 +116,86 @@ class TestConstraintFixpoint:
             lb, cb = s.bbox(label), s.bbox(cell)
             assert abs((lb[0] + lb[2]) / 2 - (cb[0] + cb[2]) / 2) <= 1e-9
             assert abs((lb[1] + lb[3]) / 2 - (cb[1] + cb[3]) / 2) <= 1e-9
+
+
+class TestConstraintResolution:
+    def test_translate_resolves_the_where_selector_once(self, monkeypatch):
+        s, parts = build_diverging_bar()
+        s.propagate()
+        calls = []
+        select = Scene.select
+
+        def counting_select(scene, selection):
+            if isinstance(selection, dict) and selection.get("where"):
+                calls.append(selection)
+            return select(scene, selection)
+
+        monkeypatch.setattr(Scene, "select", counting_select)
+        s.translate(s.elements[parts["rows"].members[1]], 7, 0)
+        assert len(calls) == 1
+        assert s.last_report.unsatisfied == []
+
+    def test_follower_inside_an_anchor_glyph_settles(self):
+        # moving f stretches its glyph g, which moves the centre f follows
+        s = vz.create_scene()
+        m = s.create_mark("rectangle", {"x": 0, "y": 0, "width": 20, "height": 20})
+        f = s.create_mark("rectangle", {"x": 30, "y": 0, "width": 2, "height": 2})
+        g = s.create_glyph([m, f])
+        s.propagate()
+        con = vz.affix(s, [f.id], [g.id], "center")
+        assert resolve_constraint(s, con).nested
+        assert s.last_report.evaluated.count(f"constraint:{con.id}") >= 2
+        assert s.last_report.unsatisfied == []
+        assert _unsettled(s) == {}
+        assert s.bbox(f) == (9.0, 9.0, 11.0, 11.0)
+        assert vz.validate.passed(vz.validate_scene(s))
+
+    def test_flat_constraints_are_not_nested(self):
+        s, _ = build_diverging_bar()
+        assert [resolve_constraint(s, c).nested for c in s.constraints.values()
+                if c.kind in ("align", "affix")] == [False, False]
+
+    def test_a_pass_resolves_as_a_fresh_resolution_does(self, monkeypatch):
+        scenes = build_gallery_scenes()
+        scenes["diverging_bar_built"] = build_diverging_bar()[0]
+        seen = []
+
+        def recording_resolve(scene, spec):
+            r = resolve_constraint(scene, spec)
+            seen.append((scene, spec, r))
+            return r
+
+        def ids(els):
+            return [e.id for e in els]
+
+        monkeypatch.setattr(constraints, "resolve_constraint", recording_resolve)
+        kinds = set()
+        for scene in scenes.values():
+            scene.dirty.structure = True
+            scene.propagate()
+            assert scene.last_report.unsatisfied == []
+        monkeypatch.undo()
+        for scene, spec, r in seen:
+            if spec.kind not in ("align", "affix"):
+                continue
+            kinds.add(spec.kind)
+            fresh = resolve_constraint(scene, spec)
+            assert ids(r.targets) == ids(fresh.targets)
+            assert ids(r.units) == ids(fresh.units)
+            assert [(a.id, b.id) for a, b in r.pairs] == \
+                [(a.id, b.id) for a, b in fresh.pairs]
+            assert (r.reads, r.problem, r.nested) == \
+                (fresh.reads, fresh.problem, fresh.nested)
+        assert kinds == {"align", "affix"}
+
+    def test_unregistered_target_is_reported(self):
+        s = vz.create_scene()
+        a, b, c = (s.create_mark("rectangle", {"x": x}) for x in (0, 5, 9))
+        con = vz.align(s, [a.id, b.id, c.id], "left")
+        s.unregister(b.id)
+        s.translate(a, 3, 0)
+        assert s.last_report.unsatisfied == [
+            f"{con.id}: unknown element {b.id!r}"]
 
 
 class TestVerboseReports:

@@ -7,7 +7,7 @@ from vizscene.elements import MARK_TYPES, DataScope, union_scopes
 from vizscene.errors import ChannelError, SceneError
 from vizscene.scene import scopes_disjoint
 
-from conftest import build_diverging_bar
+from conftest import build_diverging_bar, build_gallery_scenes
 
 
 class TestSceneBasics:
@@ -388,3 +388,22 @@ class TestAuxAndView:
         s = vz.create_scene()
         with pytest.raises(SceneError):
             s.set_view("zoom", 0)
+
+
+class TestPartIndex:
+    def test_every_indexed_part_resolves_to_its_owners_object(self):
+        for chart, scene in build_gallery_scenes().items():
+            for index, field in ((scene._vertex_owner, "vertices"),
+                                 (scene._segment_owner, "segments")):
+                for part_id, mark_id in index.items():
+                    owned = getattr(scene.elements[mark_id], field)
+                    assert scene.resolve(part_id) is next(
+                        p for p in owned if p.id == part_id), (chart, part_id)
+
+    def test_a_dropped_vertex_no_longer_resolves(self):
+        s = vz.create_scene()
+        line = s.create_mark("polyline", {"vertices": [(0, 0), (5, 5), (9, 0)]})
+        dropped = line.vertices.pop()
+        assert s.resolve(line.vertices[1].id) is line.vertices[1]
+        with pytest.raises(SceneError, match="unknown element"):
+            s.resolve(dropped.id)

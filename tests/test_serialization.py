@@ -2,7 +2,6 @@ import copy
 import functools
 import json
 import re
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +12,7 @@ from vizscene.elements import DataScope
 from vizscene.errors import SceneFormatError
 from vizscene.validate import STRUCTURAL_CHECKS
 
-from conftest import build_diverging_bar
+from conftest import build_diverging_bar, build_gallery_scenes
 
 
 class TestSerialize:
@@ -293,21 +292,12 @@ class TestStructuralRulesAtLoad:
 
 
 MUTANT_VALUES = (None, -1, 10**6, "ghost", [], {}, 1.5, True)
-GALLERY = Path(__file__).resolve().parent.parent / "gallery"
 
 
 @functools.cache
 def _gallery_documents():
-    manifest = json.loads((GALLERY / "manifest.json").read_text())
-    docs = {}
-    for chart, files in sorted(manifest.items()):
-        datasets = {}
-        for name, path in files.items():
-            load = vz.import_network if path.endswith(".json") else vz.import_table
-            datasets[name] = load((GALLERY / path).read_bytes(), name)
-        steps = json.loads((GALLERY / "pipelines" / f"{chart}.json").read_text())
-        docs[chart] = json.loads(vz.serialize_scene(vz.execute_pipeline(steps, datasets).scene))
-    return docs
+    return {chart: json.loads(vz.serialize_scene(scene))
+            for chart, scene in build_gallery_scenes().items()}
 
 
 def _field_paths(node, prefix=()):

@@ -1,5 +1,9 @@
+import json
+
 import vizscene as vz
 from vizscene.elements import DataScope
+
+from conftest import build_gallery_scenes
 
 
 def _details(report, check):
@@ -52,3 +56,15 @@ class TestElementReferences:
         s.roots.append(mark.id)
         assert _details(vz.validate_scene(s), "element-references") == [
             f"{mark.id}: appears twice in the tree"]
+
+
+class TestEncodingConsistency:
+    def test_encoding_of_a_channel_its_peers_lack_is_reported(self):
+        scene = build_gallery_scenes()["diverging_bar"]
+        doc = json.loads(vz.serialize_scene(scene))
+        enc = doc["encodings"][0]
+        enc["channel"] = "ghost"
+        report = vz.validate_scene(vz.deserialize_scene(json.dumps(doc)))
+        details = _details(report, "encoding-consistency")
+        assert details and all(d.startswith(f"{enc['id']}: ") for d in details)
+        assert "ghost" in details[0]
