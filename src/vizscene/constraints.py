@@ -9,11 +9,13 @@ axis, so e.g. right-aligning bars inside horizontal stacks shifts whole rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 from .data import canonical_order
 from .elements import Group, Mark
 from .errors import ConstraintError, VizSceneError
+from .layout import owns_axis
 
 EDGES = ("left", "right", "top", "bottom", "center_x", "center_y")
 
@@ -52,7 +54,6 @@ def bbox_point(box, anchor: str):
 def movable_unit(scene, el, axis: str):
     """Climb to the first element whose position on the axis is not computed
     by an enclosing layout; translating it moves the original rigidly."""
-    from .layout import owns_axis
     cur = el
     while cur.parent not in (None, "__detached__"):
         parent = scene.elements[cur.parent]
@@ -76,6 +77,15 @@ def _expand_pairing_units(scene, elements):
             else:
                 stack.extend(scene.elements[m] for m in reversed(e.members))
     return units
+
+
+def _register(scene, kind: str, params: dict) -> ConstraintSpec:
+    """Register a new constraint; propagation enforces it from then on."""
+    spec = ConstraintSpec(scene.make_id("con"), kind, params)
+    scene.constraints[spec.id] = spec
+    scene.dirty.constraints.add(spec.id)
+    scene.maybe_propagate()
+    return spec
 
 
 def _store_selection(scene, elements, original):
@@ -106,9 +116,31 @@ class Resolution:
     units: list = field(default_factory=list)
     pairs: list = field(default_factory=list)  # affix: (follower, anchor)
     problem: str | None = None  # affix: why its followers do not pair
-    # translating one unit can shift or stretch an element another unit
-    # carries, so one round of writes need not leave the constraint holding
-    nested: bool = False
+    scene: object = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def nested(self) -> bool:
+        """Whether translating one unit can shift or stretch an element
+        another unit carries, so one round of writes need not leave the
+        constraint holding; computed on first read. An align target is
+        carried by its unit, a unit by itself, and an affix anchor, which
+        never moves, by none. True when one read element lies inside
+        another that a different unit carries, or one element has two
+        carriers."""
+        carrier = {}
+        # streamed, not listed: fewer live tuples, fewer garbage collections
+        for el, unit_id in chain(((t, u.id) for t, u in zip(self.targets, self.units)),
+                                 ((u, u.id) for u in self.units),
+                                 ((a, None) for _, a in self.pairs)):
+            if carrier.setdefault(el.id, unit_id) != unit_id:
+                return True
+        for el_id, unit_id in carrier.items():
+            cur = self.scene.elements.get(el_id)
+            while cur is not None and cur.parent not in (None, "__detached__"):
+                if cur.parent in carrier and carrier[cur.parent] != unit_id:
+                    return True
+                cur = self.scene.elements[cur.parent]
+        return False
 
 
 def resolve_constraint(scene, spec: ConstraintSpec) -> Resolution:
@@ -119,13 +151,8 @@ def resolve_constraint(scene, spec: ConstraintSpec) -> Resolution:
         targets = scene.select(params["targets"])
         axis = edge_axis(params["edge"])
         units = [movable_unit(scene, el, axis) for el in targets]
-        # streamed, not listed: a live tuple per element makes the garbage
-        # collector run more often, full collections included
-        carriers = chain(((t, u.id) for t, u in zip(targets, units)),
-                         ((u, u.id) for u in units))
         return Resolution({e.id for e in targets} | {u.id for u in units},
-                          targets=targets, units=units,
-                          nested=_nested(scene, carriers))
+                          targets=targets, units=units, scene=scene)
     if spec.kind == "affix":
         followers = scene.select(params["followers"])
         anchors = scene.select(params["anchors"])
@@ -135,11 +162,8 @@ def resolve_constraint(scene, spec: ConstraintSpec) -> Resolution:
         try:
             pairs = _pair(scene, follower_units, anchor_units)
         except ConstraintError as e:
-            return Resolution(reads, units=follower_units, problem=str(e))
-        carriers = chain(((f, f.id) for f in follower_units),
-                         ((a, None) for a in anchor_units))
-        return Resolution(reads, units=follower_units, pairs=pairs,
-                          nested=_nested(scene, carriers))
+            return Resolution(reads, units=follower_units, problem=str(e), scene=scene)
+        return Resolution(reads, units=follower_units, pairs=pairs, scene=scene)
     if spec.kind == "order":
         group = scene.elements.get(params["group"])
         return Resolution(set() if group is None else {group.id} | set(group.members))
@@ -148,44 +172,75 @@ def resolve_constraint(scene, spec: ConstraintSpec) -> Resolution:
     raise ConstraintError(f"unknown constraint kind {spec.kind!r}")
 
 
-def _nested(scene, carriers) -> bool:
-    """``carriers`` pairs each element a constraint reads with the id of the
-    unit whose translation carries it (None for an affix anchor, which never
-    moves). True when one read element lies inside another that a different
-    unit carries, or one element has two carriers."""
-    carrier = {}
-    for el, unit_id in carriers:
-        if carrier.setdefault(el.id, unit_id) != unit_id:
-            return True
-    for el_id, unit_id in carrier.items():
-        cur = scene.elements.get(el_id)
-        while cur is not None and cur.parent not in (None, "__detached__"):
-            if cur.parent in carrier and carrier[cur.parent] != unit_id:
-                return True
-            cur = scene.elements[cur.parent]
-    return False
+# ---------------------------------------------------------------- ownership
+
+
+def position_writer(scene, el, axis: str, claims: dict):
+    """What writes ``el``'s position on ``axis``: the encoding bound to that
+    channel, an align or affix whose units include ``el`` (as ``claims``,
+    from ``_position_claims``, records), or the parent group whose layout
+    owns the axis; None when nothing does."""
+    enc = scene.channel_owner_encoding(el, axis)
+    if enc is not None or not isinstance(el, (Mark, Group)):
+        return enc  # vertices and segments move with their mark
+    parent = scene.elements.get(el.parent)
+    owned = isinstance(parent, Group) and parent.layout and owns_axis(parent.layout, axis)
+    return claims.get((axis, el.id), parent if owned else None)
+
+
+def _position_claims(scene, axes) -> dict:
+    """Maps (axis, id) to the align or affix that translates the element
+    along that axis, for ``axes``. Each constraint resolves once; one whose
+    selectors no longer resolve writes nothing."""
+    claims = {}
+    for spec in scene.constraints.values():
+        if spec.kind not in ("align", "affix"):
+            continue
+        written = [axis for axis in axes if spec.kind == "affix"
+                   or axis == edge_axis(spec.params["edge"])]
+        if not written:
+            continue
+        try:
+            units = resolve_constraint(scene, spec).units
+        except VizSceneError:
+            continue
+        for axis in written:
+            for unit in units:
+                claims.setdefault((axis, unit.id), spec)
+    return claims
+
+
+def check_position_writers(scene, positions, action: str, error, *,
+                           layout_error=None, yields=lambda writer: False) -> list:
+    """Refuse an op that would be a second writer of the (element, axis)
+    ``positions``, before it writes anything; writers for which ``yields``
+    is true step aside instead and are returned. The refusal raises
+    ``error``, or ``layout_error`` when given and a layout is the writer."""
+    positions = list(positions)
+    # vertices and segments are never a constraint's unit
+    claims = _position_claims(scene, {axis for _, axis in positions}) if any(
+        isinstance(el, (Mark, Group)) for el, _ in positions) else {}
+    yielded = {}
+    for el, axis in positions:
+        writer = position_writer(scene, el, axis, claims)
+        if writer is None:
+            continue
+        if yields(writer):
+            yielded[writer.id] = writer
+            continue
+        if isinstance(writer, ConstraintSpec):
+            how = f"already driven by {writer.kind} {writer.id}, a relational constraint"
+        elif isinstance(writer, Group):
+            how = (f"positioned by the {writer.layout['type']} layout on "
+                   f"{writer.id}, and owned by it until the layout is detached")
+            error = layout_error or error
+        else:
+            how = f"bound by encoding {writer.id}; remove the encoding first"
+        raise error(f"cannot {action}: the {axis} position of {el.id} is {how}")
+    return list(yielded.values())
 
 
 # -------------------------------------------------------------------- align
-
-
-def position_claims(scene, axis: str) -> set:
-    """Element ids whose position on the axis is written by a constraint."""
-    claimed = set()
-    for spec in scene.constraints.values():
-        if spec.kind == "affix" or (
-                spec.kind == "align" and edge_axis(spec.params["edge"]) == axis):
-            claimed.update(u.id for u in resolve_constraint(scene, spec).units)
-    return claimed
-
-
-def _reject_encoded_positions(scene, units, axis):
-    for unit in units:
-        enc = scene.channel_owner_encoding(unit, axis)
-        if enc is not None:
-            raise ConstraintError(
-                f"{unit.id}.{axis} is bound by encoding {enc.id}; "
-                f"remove the encoding before constraining it")
 
 
 def align(scene, targets, edge: str) -> ConstraintSpec:
@@ -200,28 +255,11 @@ def align(scene, targets, edge: str) -> ConstraintSpec:
         raise ConstraintError(
             "alignment targets collapse onto one movable element; "
             "their positions on this axis are fully determined already")
-    _check_alignment_conflicts(scene, units, axis)
-    _reject_encoded_positions(scene, units, axis)
-    spec = ConstraintSpec(scene.make_id("con"), "align", {
+    check_position_writers(scene, ((u, axis) for u in units), "align", ConstraintError)
+    return _register(scene, "align", {
         "targets": _store_selection(scene, elements, targets),
         "edge": edge,
     })
-    scene.constraints[spec.id] = spec
-    scene.dirty.constraints.add(spec.id)
-    scene.maybe_propagate()
-    return spec
-
-
-def _check_alignment_conflicts(scene, units, axis):
-    unit_ids = {u.id for u in units}
-    for other in scene.constraints.values():
-        if other.kind != "align" or edge_axis(other.params["edge"]) != axis:
-            continue
-        other_units = {u.id for u in resolve_constraint(scene, other).units}
-        if unit_ids & other_units:
-            raise ConstraintError(
-                f"axis {axis!r} of {sorted(unit_ids & other_units)} is already "
-                f"driven by alignment {other.id}")
 
 
 def evaluate_align(scene, spec: ConstraintSpec, *, write: bool,
@@ -264,40 +302,21 @@ def affix(scene, followers, anchors, anchor_point: str = "center",
     follower_units = _expand_pairing_units(scene, scene.select(followers))
     anchor_units = _expand_pairing_units(scene, scene.select(anchors))
     _pair(scene, follower_units, anchor_units)  # validates now
-    _release_followers(scene, follower_units)
-    _reject_encoded_positions(scene, follower_units, "x")
-    _reject_encoded_positions(scene, follower_units, "y")
-    spec = ConstraintSpec(scene.make_id("con"), "affix", {
+    # followers become constraint-positioned: auto-attached layouts on their
+    # groups step aside, anything else writing their position is a conflict
+    for group in check_position_writers(
+            scene, ((f, axis) for axis in ("x", "y") for f in follower_units),
+            "affix", ConstraintError,
+            yields=lambda w: isinstance(w, Group) and w.layout_default):
+        group.layout = None
+        group.layout_default = False
+    return _register(scene, "affix", {
         "followers": _store_selection(scene, follower_units, followers),
         "anchors": _store_selection(scene, anchor_units, anchors),
         "anchor_point": anchor_point,
         "dx": dx,
         "dy": dy,
     })
-    scene.constraints[spec.id] = spec
-    scene.dirty.constraints.add(spec.id)
-    scene.maybe_propagate()
-    return spec
-
-
-def _release_followers(scene, follower_units):
-    """Followers become constraint-positioned; auto-attached layouts on their
-    groups step aside, explicit ones are a hard conflict."""
-    for f in follower_units:
-        if f.parent in (None, "__detached__"):
-            continue
-        parent = scene.elements[f.parent]
-        if not isinstance(parent, Group) or parent.layout is None:
-            continue
-        from .layout import owns_axis
-        if owns_axis(parent.layout, "x") or owns_axis(parent.layout, "y"):
-            if parent.layout_default:
-                parent.layout = None
-                parent.layout_default = False
-            else:
-                raise ConstraintError(
-                    f"cannot affix {f.id}: its position is owned by the "
-                    f"{parent.layout['type']} layout on {parent.id}")
 
 
 def _pair(scene, follower_units, anchor_units):
@@ -355,13 +374,9 @@ def set_order(scene, group, key, direction: str = "ascending") -> ConstraintSpec
         key = {"attribute": key}
     if direction not in ("ascending", "descending"):
         raise ConstraintError(f"unknown ordering direction {direction!r}")
-    spec = ConstraintSpec(scene.make_id("con"), "order", {
+    return _register(scene, "order", {
         "group": group.id, "key": key, "direction": direction,
     })
-    scene.constraints[spec.id] = spec
-    scene.dirty.constraints.add(spec.id)
-    scene.maybe_propagate()
-    return spec
 
 
 def _order_key(scene, member, key: dict, ranks: dict):
@@ -400,7 +415,7 @@ def evaluate_order(scene, spec: ConstraintSpec, *, write: bool):
     try:
         keyed = [(_order_key(scene, m, spec.params["key"], ranks), i, m.id)
                  for i, m in enumerate(members)]
-    except ConstraintError as e:
+    except VizSceneError as e:  # e.g. a key naming an unknown attribute or channel
         return set(), str(e)
     # sort() is stable for equal keys in both directions
     keyed.sort(key=lambda t: t[0], reverse=spec.params["direction"] == "descending")
@@ -416,13 +431,9 @@ def set_z_order(scene, elements, z_values) -> ConstraintSpec:
     els = scene.select(elements)
     if len(els) != len(z_values):
         raise ConstraintError("set_z_order needs one z value per element")
-    spec = ConstraintSpec(scene.make_id("con"), "z_order", {
+    return _register(scene, "z_order", {
         "elements": [e.id for e in els], "z": list(z_values),
     })
-    scene.constraints[spec.id] = spec
-    scene.dirty.constraints.add(spec.id)
-    scene.maybe_propagate()
-    return spec
 
 
 def evaluate_z_order(scene, spec: ConstraintSpec, *, write: bool):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .constraints import check_position_writers
 from .data import aggregate, canonical_order
 from .elements import (SIZE_CHANNELS, Group, Mark, Segment, Vertex,
                        check_channel)
@@ -206,34 +207,11 @@ def _check_channel_for(peer, channel: str):
             raise EncodingError(f"channel {channel!r} is not valid for a group")
 
 
-def _position_conflict(scene, peer, channel: str, claims: set):
-    """``claims``: the ids whose position on ``channel`` a constraint writes."""
-    from .layout import owns_axis
-    if channel not in ("x", "y"):
-        return
-    holder = peer if not isinstance(peer, (Vertex, Segment)) else None
-    if holder is None:
-        return
-    if holder.id in claims:
-        raise EncodingError(
-            f"channel {channel!r} of {holder.id} is positioned by a relational "
-            f"constraint; remove the constraint before encoding it")
-    if holder.parent in (None, "__detached__"):
-        return
-    parent = scene.elements[holder.parent]
-    if isinstance(parent, Group) and parent.layout and owns_axis(parent.layout, channel):
-        raise LayoutError(
-            f"channel {channel!r} of {holder.id} is positioned by the "
-            f"{parent.layout['type']} layout on {parent.id}; detach the layout first")
-
-
 def apply_encoding(scene, element, channel: str, attribute: str,
                    scale: Scale | str | None = None,
                    aggregator: str | None = None) -> Encoding:
-    from .constraints import position_claims
     el = scene.resolve(element)
     peers = scene.peers_of(el)
-    claims = position_claims(scene, channel) if channel in ("x", "y") else set()
     for peer in peers:
         _check_channel_for(peer, channel)
         scope = peer.data_scope
@@ -243,15 +221,17 @@ def apply_encoding(scene, element, channel: str, attribute: str,
         if scope.table == "items" and not dataset.has_attribute(attribute):
             raise EncodingError(
                 f"attribute {attribute!r} missing from scope of {peer.id}")
-        _position_conflict(scene, peer, channel, claims)
-
+    bound = scene.channel_owner_encoding(el, channel)
+    if bound is not None:
+        raise EncodingError(
+            f"channel {channel!r} already encoded for this peer set ({bound.id})")
+    if channel in ("x", "y"):
+        check_position_writers(scene, ((p, channel) for p in peers),
+                               f"encode {channel}", EncodingError,
+                               layout_error=LayoutError)
     if el.peer_set is None:
         scene.make_peer_set([el])
     peer_set = el.peer_set
-    for enc in scene.encodings.values():
-        if enc.peer_set == peer_set and enc.channel == channel:
-            raise EncodingError(
-                f"channel {channel!r} already encoded for this peer set ({enc.id})")
 
     scope = el.data_scope
     dataset = scene.dataset(scope.dataset)

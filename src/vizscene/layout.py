@@ -25,7 +25,13 @@ _DEFAULTS = {
 }
 
 
+_NUMERIC = ("num_cols", "num_rows", "gap_x", "gap_y", "gap", "padding",
+            "start_radius", "growth", "angular_step")
+
+
 def normalize_layout(spec: dict) -> dict:
+    if not isinstance(spec, dict):
+        raise LayoutError("a layout spec must be an object")
     if "type" not in spec:
         raise LayoutError("layout spec needs a 'type'")
     kind = spec["type"]
@@ -38,20 +44,19 @@ def normalize_layout(spec: dict) -> dict:
             continue
         if key not in _DEFAULTS[kind] and not (kind == "grid" and key in ("num_cols", "num_rows")):
             raise LayoutError(f"unknown parameter {key!r} for {kind} layout")
+        if key in _NUMERIC and (isinstance(value, bool)
+                                or not isinstance(value, (int, float))):
+            raise LayoutError(f"{kind} layout parameter {key!r} must be a number")
+        if key.startswith("gap") and value < 0:
+            raise LayoutError(f"{kind} layout gaps must be non-negative")
         out[key] = value
     if kind == "grid":
         if "num_rows" in spec and "num_cols" in spec:
             raise LayoutError("grid layout takes num_cols or num_rows, not both")
         if "num_rows" in spec:
             out.pop("num_cols", None)
-        for g in ("gap_x", "gap_y"):
-            if out[g] < 0:
-                raise LayoutError("grid gaps must be non-negative")
-    if kind == "stack":
-        if out["orientation"] not in ("horizontal", "vertical", "angular"):
-            raise LayoutError(f"bad stack orientation {out['orientation']!r}")
-        if out["gap"] < 0:
-            raise LayoutError("stack gap must be non-negative")
+    if kind == "stack" and out["orientation"] not in ("horizontal", "vertical", "angular"):
+        raise LayoutError(f"bad stack orientation {out['orientation']!r}")
     return out
 
 
@@ -275,58 +280,60 @@ def compute_spiral(count: int, params: dict):
 
 
 def apply_layout(scene, group, spec: dict, *, default: bool = False) -> dict:
-    group = scene.resolve(group)
-    if not isinstance(group, Group):
-        raise LayoutError(f"{group.id} is not a group")
-    layout = normalize_layout(spec)
-    if layout["type"] == "none":
-        group.layout = None
-        group.layout_default = False
-        return layout
-    for axis in ("x", "y"):
-        if not owns_axis(layout, axis):
-            continue
-        for member_id in group.members:
-            member = scene.elements[member_id]
-            enc = scene.channel_owner_encoding(member, axis)
-            if enc is not None:
-                raise LayoutError(
-                    f"cannot apply {layout['type']} layout: member {member_id} "
-                    f"has its {axis!r} channel bound by encoding {enc.id}")
-    group.layout = layout
-    group.layout_default = default
-    scene.dirty.layouts.add(group.id)
-    scene.maybe_propagate()
-    return layout
+    return _apply_layouts(scene, [(scene.resolve(group), spec)], default)[0]
 
 
 def apply_layout_peers(scene, group, spec: dict) -> None:
-    for peer in scene.peers_of(group):
-        apply_layout(scene, peer, spec)
+    _apply_layouts(scene, [(peer, spec) for peer in scene.peers_of(group)])
 
 
-def update_layout_param(scene, group, param: str, value) -> None:
-    group = scene.resolve(group)
-    if group.layout is None:
-        raise LayoutError(f"group {group.id} has no layout")
-    kind = group.layout["type"]
-    known = set(_DEFAULTS[kind]) | ({"num_cols", "num_rows"} if kind == "grid" else set())
-    if param not in known:
-        raise LayoutError(f"unknown parameter {param!r} for {kind} layout")
-    patch = {k: v for k, v in group.layout.items()}
-    if kind == "grid" and param in ("num_cols", "num_rows"):
+def _apply_layouts(scene, changes, default: bool = False) -> list:
+    """Give each group of the (group, spec) ``changes`` its layout. Every
+    spec is normalised and every takeover checked before the first group
+    changes, so a refusal leaves the scene as it was."""
+    from .constraints import check_position_writers
+    for group, _ in changes:
+        if not isinstance(group, Group):
+            raise LayoutError(f"{group.id} is not a group")
+    layouts = [normalize_layout(spec) for _, spec in changes]
+    laid = {g.id: (g, layout) for (g, _), layout in zip(changes, layouts)
+            if layout["type"] != "none"}
+    # each layout takes over the member axes it owns from their writer,
+    # which may only be a layout these changes replace
+    check_position_writers(
+        scene, ((scene.elements[m], axis) for g, layout in laid.values()
+                for axis in ("x", "y") if owns_axis(layout, axis) for m in g.members),
+        f"apply a {' or '.join(sorted({l['type'] for _, l in laid.values()}))} layout",
+        LayoutError, yields=lambda writer: isinstance(writer, Group) and writer.id in laid)
+    for (group, _), layout in zip(changes, layouts):
+        group.layout = layout if group.id in laid else None
+        group.layout_default = default and group.id in laid
+    scene.dirty.layouts.update(laid)
+    scene.maybe_propagate()
+    return layouts
+
+
+def _with_param(group, param: str, value) -> tuple:
+    """``group`` and its layout spec with ``param`` set to ``value``."""
+    if getattr(group, "layout", None) is None:  # marks have none either
+        raise LayoutError(f"{group.id} has no layout")
+    if param == "type":
+        raise LayoutError(f"unknown parameter 'type' for {group.layout['type']} layout")
+    patch = dict(group.layout)
+    if param in ("num_cols", "num_rows"):
         patch.pop("num_cols", None)
         patch.pop("num_rows", None)
     patch[param] = value
-    group.layout = normalize_layout(patch)
-    group.layout_default = False
-    scene.dirty.layouts.add(group.id)
-    scene.maybe_propagate()
+    return group, patch
+
+
+def update_layout_param(scene, group, param: str, value) -> None:
+    _apply_layouts(scene, [_with_param(scene.resolve(group), param, value)])
 
 
 def update_layout_param_peers(scene, group, param: str, value) -> None:
-    for peer in scene.peers_of(group):
-        update_layout_param(scene, peer, param, value)
+    _apply_layouts(scene, [_with_param(peer, param, value)
+                           for peer in scene.peers_of(group)])
 
 
 def evaluate_layout(scene, group: Group):

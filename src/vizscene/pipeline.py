@@ -297,7 +297,7 @@ def execute_pipeline(steps, data: dict | None = None, scene_id: str = "scene-1",
             result = op(ctx, step.get("target"), step.get("args", {}))
         except PipelineError:
             raise
-        except (VizSceneError, KeyError, TypeError, ValueError) as e:
+        except (VizSceneError, AttributeError, KeyError, TypeError, ValueError) as e:
             detail = f"missing argument {e}" if isinstance(e, KeyError) else str(e)
             raise PipelineError(index, f"{step['op']}: {detail}") from e
         if "as" in step:

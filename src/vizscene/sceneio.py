@@ -16,7 +16,8 @@ from .constraints import ConstraintSpec
 from .data import AttributeDef, Network, Table
 from .elements import GROUP_KINDS, MARK_TYPES, DataScope, Group, Mark, Segment, Vertex
 from .encoding import SCALE_KINDS, Encoding, Scale
-from .errors import SceneFormatError
+from .errors import LayoutError, SceneFormatError
+from .layout import normalize_layout
 from .scene import AuxiliaryElement, PeerSet, Scene, ViewConfig
 from .svgrender import render
 from .validate import STRUCTURAL_CHECKS
@@ -394,10 +395,9 @@ def _parse_group(doc, path) -> Group:
     group.tx, group.ty = offset[0], offset[1]
     group.data_scope = _parse_scope(doc, path)
     if group.layout is not None:
-        from .layout import normalize_layout
         try:
             group.layout = normalize_layout(group.layout)
-        except Exception as e:
+        except LayoutError as e:
             raise SceneFormatError(str(e), f"{path}.layout") from None
     return group
 

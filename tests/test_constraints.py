@@ -175,6 +175,19 @@ class TestOrdering:
         spec = vz.set_order(scene, col, "pct")  # mixed pct values per member
         assert any(spec.id in u for u in scene.last_report.unsatisfied)
 
+    @pytest.mark.parametrize("key, named", [
+        ("ghost", "ghost"), ({"channel": "radius"}, "radius")])
+    def test_unknown_key_reported_and_layouts_still_run(self, scene, key, named):
+        col = self._bars(scene)
+        spec = vz.set_order(scene, col, key)
+        assert spec.id in scene.constraints
+        assert any(u.startswith(f"{spec.id}:") and named in u
+                   for u in scene.last_report.unsatisfied)
+        scene.create_mark("rectangle")
+        report = scene.propagate()
+        assert f"layout:{col.id}" in report.evaluated
+        assert any(spec.id in u for u in report.unsatisfied)
+
     def test_z_order(self, scene):
         a = scene.create_mark("rectangle")
         b = scene.create_mark("rectangle")
@@ -315,6 +328,78 @@ class TestOwnershipExclusivity:
             vz.apply_encoding(scene, members[0], "x", "pct", aggregator="mean")
         # the other axis stays free
         vz.apply_encoding(scene, members[0], "y", "pct", aggregator="mean")
+
+
+# each writes the x position of the members of ``col``, a collection of
+# text marks that ``repeat`` gave a default one-column grid (it owns y only)
+WRITERS = {
+    "encoding": lambda s, col, anchors: vz.apply_encoding(
+        s, col.members[0], "x", "v"),
+    "explicit layout": lambda s, col, anchors: vz.apply_layout(
+        s, col, {"type": "grid", "num_rows": 1}),
+    "default layout": lambda s, col, anchors: None,
+    "align": lambda s, col, anchors: vz.align(s, col.members, "left"),
+    "affix": lambda s, col, anchors: vz.affix(s, col.id, anchors.id, "center"),
+}
+
+CLAIMANTS = {
+    "align": lambda s, col, anchors: vz.align(s, col.members, "right"),
+    "affix": lambda s, col, anchors: vz.affix(s, col.id, anchors.id, "n"),
+    "encode x": lambda s, col, anchors: vz.apply_encoding(
+        s, col.members[1], "x", "v"),
+    "apply_layout": lambda s, col, anchors: vz.apply_layout(
+        s, col, {"type": "grid", "num_cols": 3}),
+    "update_layout_param": lambda s, col, anchors: vz.update_layout_param(
+        s, col, "num_cols", 3),
+}
+
+# None: accepted; otherwise the error class of the refusal
+OWNERSHIP = {
+    ("align", "encoding"): ConstraintError,
+    ("align", "explicit layout"): ConstraintError,
+    ("align", "default layout"): None,
+    ("align", "align"): ConstraintError,
+    ("align", "affix"): ConstraintError,
+    ("affix", "encoding"): ConstraintError,
+    ("affix", "explicit layout"): ConstraintError,
+    ("affix", "default layout"): None,
+    ("affix", "align"): ConstraintError,
+    ("affix", "affix"): ConstraintError,
+    ("encode x", "encoding"): vz.EncodingError,
+    ("encode x", "explicit layout"): vz.LayoutError,
+    ("encode x", "default layout"): None,
+    ("encode x", "align"): vz.EncodingError,
+    ("encode x", "affix"): vz.EncodingError,
+    ("apply_layout", "encoding"): vz.LayoutError,
+    ("apply_layout", "explicit layout"): None,
+    ("apply_layout", "default layout"): None,
+    ("apply_layout", "align"): vz.LayoutError,
+    ("apply_layout", "affix"): vz.LayoutError,
+    ("update_layout_param", "encoding"): vz.LayoutError,
+    ("update_layout_param", "explicit layout"): None,
+    ("update_layout_param", "default layout"): None,
+    ("update_layout_param", "align"): vz.LayoutError,
+    ("update_layout_param", "affix"): vz.LayoutError,  # no layout is left
+}
+
+
+@pytest.mark.parametrize("claimant, writer", list(OWNERSHIP))
+def test_ownership_matrix(claimant, writer):
+    s = vz.create_scene()
+    s.add_dataset(vz.import_table(b"k,v\na,1\nb,2\nc,3\n", "t"))
+    anchors = vz.repeat(s, s.create_mark("rectangle"), "t", "k")
+    col = vz.repeat(s, s.create_mark("text", {"text": "x"}), "t", "k")
+    WRITERS[writer](s, col, anchors)
+    before = vz.serialize_scene(s)
+    expected = OWNERSHIP[claimant, writer]
+    if expected is None:
+        CLAIMANTS[claimant](s, col, anchors)
+        assert vz.validate.passed(vz.validate_scene(s))
+    else:
+        with pytest.raises(expected):
+            CLAIMANTS[claimant](s, col, anchors)
+        # refused before the first write: a refused affix keeps the default grid
+        assert vz.serialize_scene(s) == before
 
 
 def _broken_align(scene):

@@ -141,6 +141,14 @@ class TestApplyEncoding:
         with pytest.raises(EncodingError, match="already encoded"):
             vz.apply_encoding(s, leaf, "width", "pct")
 
+    def test_duplicate_position_encoding_rejected(self, scene):
+        col = vz.repeat(scene, scene.create_mark("circle"), "survey", "age")
+        vz.apply_layout(scene, col, {"type": "none"})
+        member = scene.elements[col.members[0]]
+        vz.apply_encoding(scene, member, "x", "pct", aggregator="mean")
+        with pytest.raises(EncodingError, match="already encoded"):
+            vz.apply_encoding(scene, member, "x", "pct", aggregator="mean")
+
     def test_attribute_missing_from_scope(self, scene):
         col = vz.repeat(scene, scene.create_mark("rectangle"), "survey", "age")
         with pytest.raises(EncodingError):

@@ -163,13 +163,62 @@ class TestApplyLayout:
                                          "orientation": "horizontal", "gap": 3})
         assert all(s.elements[m].layout["gap"] == 3 for m in rows.members)
 
+    @pytest.mark.parametrize("op", [
+        lambda s, row: vz.apply_layout_peers(
+            s, row, {"type": "stack", "orientation": "vertical"}),
+        lambda s, row: vz.update_layout_param_peers(s, row, "orientation", "vertical")],
+        ids=["apply_layout_peers", "update_layout_param_peers"])
+    def test_peers_refused_on_a_later_peer_change_nothing(self, op):
+        s, parts = build_diverging_bar()
+        rows = parts["rows"]
+        # the second row's cells have their y driven by an align, which a
+        # vertical stack on that row would take over
+        vz.align(s, s.elements[rows.members[1]].members, "top")
+        before = vz.serialize_scene(s)
+        with pytest.raises(LayoutError, match="already driven"):
+            op(s, s.elements[rows.members[0]])
+        assert vz.serialize_scene(s) == before
+
     def test_unknown_param_rejected(self, scene):
         col = vz.repeat(scene, scene.create_mark("rectangle"), "survey", "age")
         with pytest.raises(LayoutError, match="unknown parameter"):
             vz.update_layout_param(scene, col, "wobble", 3)
 
+    @pytest.mark.parametrize("spec", [
+        {"type": "stack", "gap": "wide"}, {"type": "packing", "padding": None},
+        {"type": "spiral", "growth": False}, {"type": "spiral", "angular_step": "30"},
+        {"type": "spiral", "start_radius": [20]}])
+    def test_non_number_parameter_rejected(self, scene, spec):
+        col = vz.repeat(scene, scene.create_mark("rectangle"), "survey", "age")
+        with pytest.raises(LayoutError, match="must be a number"):
+            vz.apply_layout(scene, col, spec)
+
+    @pytest.mark.parametrize("spec", ["grid", ["grid"], None])
+    def test_spec_must_be_an_object(self, scene, spec):
+        col = vz.repeat(scene, scene.create_mark("rectangle"), "survey", "age")
+        with pytest.raises(LayoutError, match="must be an object"):
+            vz.apply_layout(scene, col, spec)
+
 
 class TestUpdateLayoutParam:
+    def test_element_without_a_layout_rejected(self, scene):
+        mark = scene.create_mark("rectangle")
+        col = vz.repeat(scene, scene.create_mark("rectangle"), "survey", "age")
+        vz.apply_layout(scene, col, {"type": "none"})
+        for el in (mark, col):
+            with pytest.raises(LayoutError, match="has no layout"):
+                vz.update_layout_param(scene, el, "gap", 1)
+
+    @pytest.mark.parametrize("param, value", [
+        ("num_cols", None), ("num_cols", "3"), ("num_cols", True),
+        ("gap_x", [1]), ("num_rows", {})])
+    def test_non_number_rejected_and_layout_kept(self, scene, param, value):
+        col = vz.repeat(scene, scene.create_mark("rectangle"), "survey", "age")
+        before = dict(col.layout)
+        with pytest.raises(LayoutError, match="must be a number"):
+            vz.update_layout_param(scene, col, param, value)
+        assert col.layout == before
+
     def test_row_to_column_flow(self, scene):
         col = _collection_of_rects(scene, [(10, 20)] * 4)
         vz.apply_layout(scene, col, {"type": "grid", "num_rows": 1,

@@ -147,6 +147,18 @@ class TestCliRender:
         assert main(["render", "--pipeline", str(pipeline)]) == 1
         assert "step 1" in capsys.readouterr().err
 
+    def test_attribute_error_in_a_step_exit_1(self, tmp_path, manifest, capsys):
+        steps = json.loads((GALLERY / "pipelines" / "diverging_bar.json").read_text())
+        pipeline = tmp_path / "bad.json"
+        pipeline.write_text(json.dumps(
+            steps[:4] + [{"op": "customize_scale",
+                          "args": {"scale": "enc_width", "patch": "x"}}]))
+        assert main(["render", "--pipeline", str(pipeline),
+                     *_data_args(manifest["diverging_bar"])]) == 1
+        err = capsys.readouterr().err
+        assert "error: step 4: customize_scale" in err
+        assert "Traceback" not in err
+
     def test_missing_pipeline_exit_2(self, tmp_path):
         assert main(["render", "--pipeline", str(tmp_path / "ghost.json")]) == 2
 

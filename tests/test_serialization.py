@@ -118,6 +118,17 @@ class TestDeserializeErrors:
             vz.deserialize_scene(json.dumps(doc))
         assert "elements[0]" in str(err.value)
 
+    def test_non_number_layout_parameter_carries_its_path(self):
+        s, _ = build_diverging_bar()
+        doc = json.loads(vz.serialize_scene(s))
+        i, group = next((i, e) for i, e in enumerate(doc["elements"])
+                        if (e.get("layout") or {}).get("num_cols") is not None)
+        group["layout"]["num_cols"] = "x"
+        with pytest.raises(SceneFormatError) as err:
+            vz.deserialize_scene(json.dumps(doc))
+        assert err.value.path == f"elements[{i}].layout"
+        assert "num_cols" in str(err.value)
+
     def test_bad_channel_rejected(self):
         s = vz.create_scene()
         s.create_mark("circle")
