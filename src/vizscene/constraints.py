@@ -55,7 +55,7 @@ def movable_unit(scene, el, axis: str):
     """Climb to the first element whose position on the axis is not computed
     by an enclosing layout; translating it moves the original rigidly."""
     cur = el
-    while cur.parent not in (None, "__detached__"):
+    while cur.parent is not None:
         parent = scene.elements[cur.parent]
         if isinstance(parent, Group) and parent.layout and owns_axis(parent.layout, axis):
             cur = parent
@@ -136,7 +136,7 @@ class Resolution:
                 return True
         for el_id, unit_id in carrier.items():
             cur = self.scene.elements.get(el_id)
-            while cur is not None and cur.parent not in (None, "__detached__"):
+            while cur is not None and cur.parent is not None:
                 if cur.parent in carrier and carrier[cur.parent] != unit_id:
                     return True
                 cur = self.scene.elements[cur.parent]

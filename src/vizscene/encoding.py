@@ -229,16 +229,17 @@ def apply_encoding(scene, element, channel: str, attribute: str,
         check_position_writers(scene, ((p, channel) for p in peers),
                                f"encode {channel}", EncodingError,
                                layout_error=LayoutError)
+    scope = el.data_scope
+    dataset = scene.dataset(scope.dataset)
+    values = [peer_value(scene, p, attribute, aggregator) for p in peers]
+    if isinstance(scale, str) and scale not in scene.scales:
+        raise SceneError(f"unknown scale {scale!r}")
+    # the peer set's id comes before an inferred scale's
     if el.peer_set is None:
         scene.make_peer_set([el])
     peer_set = el.peer_set
 
-    scope = el.data_scope
-    dataset = scene.dataset(scope.dataset)
-    values = [peer_value(scene, p, attribute, aggregator) for p in peers]
     if isinstance(scale, str):
-        if scale not in scene.scales:
-            raise SceneError(f"unknown scale {scale!r}")
         scale_obj = scene.scales[scale]
     elif scale is None:
         if scope.table == "items" and dataset.has_attribute(attribute):

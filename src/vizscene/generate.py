@@ -10,11 +10,13 @@ into peer sets, one per structural origin.
 
 from __future__ import annotations
 
+from . import encoding
 from .constraints import constraint_elements
 from .data import Network, canonical_order, group_items
-from .elements import (GROUP_ID_PREFIX, DataScope, Group, Mark, Segment, Vertex,
-                       union_scopes)
+from .elements import (GROUP_ID_PREFIX, MARK_CHANNELS, DataScope, Group, Mark, Segment,
+                       Vertex, arc_point, sync_geometry, union_scopes)
 from .errors import DataError, SceneError
+from .layout import normalize_layout
 from .scene import rename_selector_attributes
 
 DIVIDE_TYPES = {
@@ -127,6 +129,32 @@ def _rechain(scene, mark: Mark, closed: bool):
                                      (mark.vertices[i].id, mark.vertices[(i + 1) % n].id)))
 
 
+def _copies(scene, el, ds_name, partition, pairs):
+    """One copy of ``el`` per index group, each restricted to its group."""
+    for idxs in partition:
+        yield copy_element(scene, el, _restrictor(ds_name, idxs), pairs)
+
+
+def _collection(scene, provenance, members, layout=None, tx=0.0, ty=0.0):
+    """A new collection of ``members``, scoped to the union of their scopes.
+
+    The collection's id is allocated before ``members`` (which may be a
+    generator that makes them) is consumed; ``layout`` becomes the op's
+    default layout. The caller places the collection.
+    """
+    col = scene.adopt(Group(scene.make_id("col"), "collection", tx=tx, ty=ty,
+                            provenance=dict(provenance) if provenance else None))
+    for m in members:
+        m.parent = col.id
+        col.members.append(m.id)
+    col.data_scope = union_scopes(m.data_scope for m in scene.children(col))
+    if layout:
+        col.layout = normalize_layout(layout)
+        col.layout_default = True
+        scene.dirty.layouts.add(col.id)
+    return col
+
+
 def _pool_peer_sets(scene, all_pairs, provenance):
     """One fresh peer set per structural origin: copies of elements that were
     peers (or of one single element) become peers of each other."""
@@ -154,10 +182,9 @@ def _rebind_encodings(scene, mapping):
 
 
 def _drop_encodings_of(scene, peer_set_ids):
-    from .encoding import remove_encoding
     stale = [e.id for e in scene.encodings.values() if e.peer_set in peer_set_ids]
     for eid in stale:
-        remove_encoding(scene, eid)
+        encoding.remove_encoding(scene, eid)
 
 
 def _prune_empty_peer_sets(scene):
@@ -222,22 +249,10 @@ def repeat(scene, element, dataset, attribute: str):
         for t in targets:
             groups = _partition(t, ds_name, ds, attribute)
             box = scene.bbox_in_parent(t)
-            col = Group(scene.make_id("col"), "collection", tx=box[0], ty=box[1],
-                        provenance=dict(provenance))
-            scene.adopt(col)
-            for idxs in groups.values():
-                pairs = []
-                copy = copy_element(scene, t, _restrictor(ds_name, idxs), pairs)
-                copy.parent = col.id
-                col.members.append(copy.id)
-                all_pairs.extend(pairs)
-            col.data_scope = union_scopes(m.data_scope for m in scene.children(col))
-            from .layout import normalize_layout
-            col.layout = normalize_layout({"type": "grid", "num_cols": 1})
-            col.layout_default = True
-            scene.replace_in_parent(t.id, col.id)
-            scene.unregister(t.id)
-            scene.dirty.layouts.add(col.id)
+            col = _collection(scene, provenance,
+                              _copies(scene, t, ds_name, groups.values(), all_pairs),
+                              {"type": "grid", "num_cols": 1}, tx=box[0], ty=box[1])
+            scene.replace(t, col)
             outputs.append(col)
         mapping = _pool_peer_sets(scene, all_pairs, provenance)
         scene.make_peer_set(outputs, provenance)
@@ -275,10 +290,13 @@ def divide(scene, mark, dataset, attribute: str, orientation: str | None = None)
     with scene.batch():
         for t in targets:
             groups = _partition(t, ds_name, ds, attribute)
-            col, pairs = _divide_one(scene, t, groups, ds_name, orientation, provenance)
-            all_pairs.extend(pairs)
-            scene.replace_in_parent(t.id, col.id)
-            scene.unregister(t.id)
+            flow = (orientation if t.type == "rectangle"
+                    else "angular" if t.type == "ring" or orientation == "angular" else None)
+            col = _collection(scene, provenance,
+                              _divided(scene, t, groups, ds_name, orientation, all_pairs),
+                              flow and {"type": "stack", "orientation": flow, "gap": 0.0},
+                              tx=t.channels.get("x", 0), ty=t.channels.get("y", 0))
+            scene.replace(t, col)
             outputs.append(col)
         _pool_peer_sets(scene, all_pairs, provenance)
         scene.make_peer_set(outputs, provenance)
@@ -289,48 +307,20 @@ def divide(scene, mark, dataset, attribute: str, orientation: str | None = None)
 
 
 def _convert(mark: Mark, new_type: str, updates: dict):
-    from .elements import MARK_CHANNELS
     mark.type = new_type
     mark.channels = {k: v for k, v in mark.channels.items()
                      if k in MARK_CHANNELS[new_type]}
     mark.channels.update(updates)
 
 
-def _divide_one(scene, t: Mark, groups, ds_name, orientation, provenance):
+def _divided(scene, t: Mark, groups, ds_name, orientation, pairs):
+    """The divided copies of ``t``, each shaped to its slice of the extent."""
     k = len(groups)
-    ch = t.channels
-    col = Group(scene.make_id("col"), "collection", provenance=dict(provenance))
-    scene.adopt(col)
-    layout = None
-    if t.type == "rectangle":
-        col.tx, col.ty = ch.get("x", 0), ch.get("y", 0)
-        layout = {"type": "stack", "orientation": orientation, "gap": 0.0}
-    elif t.type == "circle":
-        col.tx, col.ty = ch.get("x", 0), ch.get("y", 0)
-        if orientation == "angular":
-            layout = {"type": "stack", "orientation": "angular", "gap": 0.0}
-    elif t.type == "line":
-        col.tx, col.ty = ch.get("x", 0), ch.get("y", 0)
-    elif t.type in ("pie", "ring"):
-        col.tx, col.ty = ch.get("x", 0), ch.get("y", 0)
-        if t.type == "ring":
-            layout = {"type": "stack", "orientation": "angular", "gap": 0.0}
-    pairs = []
-    for i, idxs in enumerate(groups.values()):
-        child = copy_element(scene, t, _restrictor(ds_name, idxs), pairs)
+    for i, child in enumerate(_copies(scene, t, ds_name, groups.values(), pairs)):
         _shape_divided_child(child, t, i, k, orientation)
-        from .elements import sync_geometry
         sync_geometry(child, scene.make_id)
         scene.index_mark(child)
-        child.parent = col.id
-        col.members.append(child.id)
-    col.data_scope = union_scopes(m.data_scope for m in scene.children(col))
-    if layout:
-        from .layout import normalize_layout
-        col.layout = normalize_layout(layout)
-        col.layout_default = True
-        scene.dirty.layouts.add(col.id)
-    return col, pairs
+        yield child
 
 
 def _shape_divided_child(child: Mark, t: Mark, i: int, k: int, orientation):
@@ -392,13 +382,12 @@ def densify(scene, mark, dataset, attribute: str, orientation: str | None = None
             new = _densify_one(scene, t, groups, ds_name, orientation)
             data_vertices.extend(v for v in new.vertices if v.data_scope is not None)
             old_set = t.peer_set
-            scene.replace_in_parent(t.id, new.id)
             if old_set and old_set in scene.peer_sets:
                 members = scene.peer_sets[old_set].members
                 members[members.index(t.id)] = new.id
                 new.peer_set = old_set
                 t.peer_set = None
-            scene.unregister(t.id)
+            scene.replace(t, new)
             outputs.append(new)
         scene.make_peer_set(data_vertices, provenance)
         _drop_invalid_encodings(scene, outputs)
@@ -408,8 +397,6 @@ def densify(scene, mark, dataset, attribute: str, orientation: str | None = None
 
 
 def _drop_invalid_encodings(scene, marks):
-    from .elements import MARK_CHANNELS
-    from .encoding import remove_encoding
     stale = []
     for enc in scene.encodings.values():
         for m in marks:
@@ -417,7 +404,7 @@ def _drop_invalid_encodings(scene, marks):
                 stale.append(enc.id)
                 break
     for eid in stale:
-        remove_encoding(scene, eid)
+        encoding.remove_encoding(scene, eid)
 
 
 def _steps(k: int):
@@ -427,7 +414,6 @@ def _steps(k: int):
 
 
 def _densify_one(scene, t: Mark, groups, ds_name, orientation) -> Mark:
-    from .elements import MARK_CHANNELS, arc_point
     new_type = DENSIFY_TYPES[t.type]
     channels = {c: v for c, v in t.channels.items() if c in MARK_CHANNELS[new_type]}
     new = Mark(scene.make_id("mark"), new_type, channels,
@@ -474,6 +460,8 @@ def classify(scene, collection, attribute: str):
     col = scene.resolve(collection)
     if not isinstance(col, Group) or col.group_kind != "collection":
         raise SceneError("classify applies to collections")
+    if not col.data_scope and not col.members:
+        raise SceneError(f"cannot classify {col.id}: it has no members and no data scope")
     members = [scene.elements[m] for m in col.members]
     member_values = []
     for m in members:
@@ -485,19 +473,12 @@ def classify(scene, collection, attribute: str):
     ds_name = col.data_scope.dataset if col.data_scope else members[0].data_scope.dataset
     ds = scene.dataset(ds_name)
     ordered_values = canonical_order(ds, attribute, member_values)
-    subs = []
     with scene.batch():
-        for value in ordered_values:
-            sub = Group(scene.make_id("col"), "collection",
-                        provenance=dict(col.provenance) if col.provenance else None)
-            scene.adopt(sub)
+        subs = [_collection(scene, col.provenance,
+                            (m for m, v in zip(members, member_values) if v == value))
+                for value in ordered_values]
+        for sub in subs:
             sub.parent = col.id
-            for m, v in zip(members, member_values):
-                if v == value:
-                    m.parent = sub.id
-                    sub.members.append(m.id)
-            sub.data_scope = union_scopes(m.data_scope for m in scene.children(sub))
-            subs.append(sub)
         col.members = [s.id for s in subs]
         col.provenance = {"op": "classify",
                           "dataset": ds_name, "attribute": attribute}
@@ -518,10 +499,14 @@ def repopulate(scene, collection, new_dataset, attribute_pairs):
         raise SceneError("repopulate applies to collections")
     if not col.provenance or "attribute" not in col.provenance:
         raise SceneError(f"collection {col.id} has no generative provenance")
+    attribute_pairs = list(attribute_pairs)
+    for pair in attribute_pairs:
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                and all(isinstance(name, str) for name in pair)):
+            raise DataError(f"attribute pair {pair!r} is not a (new, current) pair of names")
     ds_name, ds = _dataset(scene, new_dataset)
     mapping = {}
-    for pair in attribute_pairs:
-        new_attr, cur_attr = pair
+    for new_attr, cur_attr in attribute_pairs:
         if not ds.has_attribute(new_attr):
             raise DataError(f"attribute {new_attr!r} missing from dataset {ds_name!r}")
         mapping[cur_attr] = new_attr
@@ -587,7 +572,6 @@ def _assign_scope(scene, el, ds_name, idxs, mapping, ds):
 
 
 def _refresh_encodings(scene, col: Group, ds_name, ds, mapping):
-    from .encoding import reinfer_domain
     subtree_sets = {e.peer_set for e in scene.descendants(col) if e.peer_set}
     subtree_sets |= {col.peer_set} if col.peer_set else set()
     for enc in scene.encodings.values():
@@ -600,7 +584,7 @@ def _refresh_encodings(scene, col: Group, ds_name, ds, mapping):
                 raise DataError(
                     f"encoding {enc.id} binds {enc.attribute!r} which is missing "
                     f"from dataset {ds_name!r}; add an attribute pair for it")
-        reinfer_domain(scene, scene.scales[enc.scale])
+        encoding.reinfer_domain(scene, scene.scales[enc.scale])
         scene.dirty.encodings.add(enc.id)
         scene.dirty.scales.add(enc.scale)
 
@@ -645,51 +629,31 @@ def stratify(scene, mark, tree, attribute: str, orientation: str | None = None):
         parent[c] = s
     root = next(i for i in range(n) if parent[i] is None)
 
-    leaves = [0] * n
-    depth = [0] * n
-
-    def _measure(node, d):
-        depth[node] = d
-        if not children[node]:
-            leaves[node] = 1
-            return 1
-        total = sum(_measure(c, d + 1) for c in children[node])
-        leaves[node] = total
-        return total
-
-    total_leaves = _measure(root, 0)
-
-    offsets = [0] * n
-
-    def _offsets(node, start):
-        offsets[node] = start
-        for c in children[node]:
-            _offsets(c, start)
-            start += leaves[c]
-
-    _offsets(root, 0)
-
-    order = []
-
-    def _walk(node):
+    # one pre-order walk; leaf counts bottom-up, offsets top-down
+    order, depth, stack = [], [0] * n, [root]
+    while stack:
+        node = stack.pop()
         order.append(node)
+        for c in reversed(children[node]):
+            depth[c] = depth[node] + 1
+            stack.append(c)
+    leaves = [1] * n
+    for node in reversed(order):
+        if children[node]:
+            leaves[node] = sum(leaves[c] for c in children[node])
+    offsets = [0] * n
+    for node in order:
+        start = offsets[node]
         for c in children[node]:
-            _walk(c)
+            offsets[c] = start
+            start += leaves[c]
+    total_leaves = leaves[root]
 
-    _walk(root)
-
-    provenance = {"op": "stratify", "dataset": net_name, "attribute": attribute,
-                  "orientation": orientation}
     ch = el.channels
-    col = Group(scene.make_id("col"), "collection", provenance=dict(provenance),
-                tx=ch.get("x", 0), ty=ch.get("y", 0))
-    scene.adopt(col)
-    marks = []
-    with scene.batch():
-        node_marks = {}
+
+    def strata():
         for node in order:
-            pairs = []
-            new = copy_element(scene, el, _restrictor(net_name, (node,)), pairs)
+            new = copy_element(scene, el, _restrictor(net_name, (node,)), [])
             frac = leaves[node] / total_leaves
             off = offsets[node] / total_leaves
             if el.type == "rectangle":
@@ -700,7 +664,6 @@ def stratify(scene, mark, tree, attribute: str, orientation: str | None = None):
                 else:
                     _convert(new, "rectangle", {"x": depth[node] * w / levels, "y": off * h,
                                                 "width": w / levels, "height": frac * h})
-                from .elements import sync_geometry
                 sync_geometry(new, scene.make_id)
                 scene.index_mark(new)
             else:
@@ -710,16 +673,18 @@ def stratify(scene, mark, tree, attribute: str, orientation: str | None = None):
                                       "outer_radius": r * (depth[node] + 1) / levels,
                                       "start_angle": 360 * off, "angle": 360 * frac})
             new.data_scope = DataScope(net_name, (node,))
-            new.parent = col.id
-            col.members.append(new.id)
-            node_marks[node] = new
-            marks.append(new)
+            yield new
+
+    provenance = {"op": "stratify", "dataset": net_name, "attribute": attribute,
+                  "orientation": orientation}
+    with scene.batch():
+        col = _collection(scene, provenance, strata(), tx=ch.get("x", 0), ty=ch.get("y", 0))
+        marks = scene.children(col)
+        node_marks = dict(zip(order, marks))
         for node, m in node_marks.items():
             if parent[node] is not None:
                 m.tree_parent = node_marks[parent[node]].id
-        col.data_scope = union_scopes(m.data_scope for m in scene.children(col))
-        scene.replace_in_parent(el.id, col.id)
-        scene.unregister(el.id)
+        scene.replace(el, col)
         scene.make_peer_set(marks, provenance)
         scene.make_peer_set([col], provenance)
         _prune_empty_peer_sets(scene)
@@ -742,47 +707,26 @@ def repeat_network(scene, node_element, link_mark, network, attribute: str):
         raise SceneError("repeat_network needs a network dataset")
     groups = group_items(net, attribute)
     provenance = {"op": "repeat_network", "dataset": net_name, "attribute": attribute}
-    with scene.batch():
-        node_col = Group(scene.make_id("col"), "collection", provenance=dict(provenance))
-        scene.adopt(node_col)
-        all_pairs = []
-        value_to_node = {}
-        for value, idxs in groups.items():
-            pairs = []
-            copy = copy_element(scene, node_el, _restrictor(net_name, idxs), pairs)
-            copy.parent = node_col.id
-            node_col.members.append(copy.id)
-            value_to_node[value] = copy.id
-            all_pairs.extend(pairs)
-        node_col.data_scope = union_scopes(m.data_scope for m in scene.children(node_col))
-        from .layout import normalize_layout
-        node_col.layout = normalize_layout({"type": "grid", "num_cols": 1})
-        node_col.layout_default = True
-        scene.dirty.layouts.add(node_col.id)
 
-        link_col = Group(scene.make_id("col"), "collection", provenance=dict(provenance))
-        scene.adopt(link_col)
-        link_marks = []
+    def link_copies(value_to_node):
         for i, link in enumerate(net.links):
-            pairs = []
-            copy = copy_element(scene, link_el, _identity, pairs)
+            copy = copy_element(scene, link_el, _identity, [])
             copy.data_scope = DataScope(net_name, (i,), "links")
-            sv = net.items[net.item_index(link["source"])][attribute]
-            tv = net.items[net.item_index(link["target"])][attribute]
-            copy.source_node = value_to_node[sv]
-            copy.target_node = value_to_node[tv]
-            copy.parent = link_col.id
-            link_col.members.append(copy.id)
-            link_marks.append(copy)
-        if link_marks:
-            link_col.data_scope = DataScope(
-                net_name, tuple(range(len(net.links))), "links")
-        scene.replace_in_parent(node_el.id, node_col.id)
-        scene.unregister(node_el.id)
-        scene.replace_in_parent(link_el.id, link_col.id)
-        scene.unregister(link_el.id)
+            copy.source_node = value_to_node[net.items[net.item_index(link["source"])][attribute]]
+            copy.target_node = value_to_node[net.items[net.item_index(link["target"])][attribute]]
+            yield copy
+
+    with scene.batch():
+        all_pairs = []
+        node_col = _collection(scene, provenance,
+                               _copies(scene, node_el, net_name, groups.values(), all_pairs),
+                               {"type": "grid", "num_cols": 1})
+        link_col = _collection(scene, provenance,
+                               link_copies(dict(zip(groups, node_col.members))))
+        scene.replace(node_el, node_col)
+        scene.replace(link_el, link_col)
         mapping = _pool_peer_sets(scene, all_pairs, provenance)
-        scene.make_peer_set(link_marks, provenance)
+        scene.make_peer_set(scene.children(link_col), provenance)
         scene.make_peer_set([node_col], provenance)
         scene.make_peer_set([link_col], provenance)
         _rebind_encodings(scene, mapping)

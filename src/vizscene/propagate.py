@@ -42,7 +42,7 @@ def _closure(scene, ids) -> set:
         for d in scene.descendants(el):
             out.add(d.id)
         cur = el
-        while cur.parent not in (None, "__detached__"):
+        while cur.parent is not None:
             cur = scene.elements[cur.parent]
             out.add(cur.id)
     return out
@@ -56,7 +56,7 @@ def _ancestor_layouts(scene, el_id: str) -> set:
     if isinstance(el, Group) and el.layout:
         out.add(el.id)
     cur = el
-    while cur.parent not in (None, "__detached__"):
+    while cur.parent is not None:
         cur = scene.elements[cur.parent]
         if isinstance(cur, Group) and cur.layout:
             out.add(cur.id)

@@ -178,24 +178,14 @@ class Scene:
             for m in list(el.members):
                 self.unregister(m)
 
-    def replace_in_parent(self, old_id: str, new_id: str):
-        """Put a new element where an old one sat (root list or group members)."""
-        old = self.elements[old_id]
-        new = self.elements[new_id]
-        if old.parent is None:
-            idx = self.roots.index(old_id)
-            self.roots[idx] = new_id
-            if new_id in self.roots[idx + 1:]:
-                self.roots.remove(new_id)
-            new.parent = None
-        else:
-            parent = self.elements[old.parent]
-            idx = parent.members.index(old_id)
-            parent.members[idx] = new_id
-            new.parent = parent.id
-            if new_id in self.roots:
-                self.roots.remove(new_id)
-        old.parent = "__detached__"
+    def replace(self, old, new):
+        """Put an adopted, unplaced element where an old one sat (root list or
+        group members), then detach and unregister the old one's subtree."""
+        slots = self.roots if old.parent is None else self.elements[old.parent].members
+        slots[slots.index(old.id)] = new.id
+        new.parent = old.parent
+        old.parent = None
+        self.unregister(old.id)
 
     # ------------------------------------------------------------- resolution
 
@@ -286,7 +276,7 @@ class Scene:
     def depth(self, el) -> int:
         d = 0
         cur = el
-        while cur.parent not in (None, "__detached__"):
+        while cur.parent is not None:
             cur = self.elements[cur.parent]
             d += 1
         return d
@@ -332,7 +322,7 @@ class Scene:
     def ancestor_offset(self, el):
         ox = oy = 0.0
         cur = el
-        while cur.parent not in (None, "__detached__"):
+        while cur.parent is not None:
             cur = self.elements[cur.parent]
             ox += cur.tx
             oy += cur.ty

@@ -175,6 +175,18 @@ class TestApplyEncoding:
             mean = scene.get_scope_value(v, "pct", "mean")
             assert v.y == pytest.approx(vz.scale_apply(scale, mean))
 
+    def test_refused_encoding_leaves_no_peer_set(self):
+        s = vz.create_scene()
+        s.add_dataset(vz.import_table(b"k,v\na,1\nb,2\nc,3\n", "t"))
+        a, b = s.create_mark("rectangle"), s.create_mark("rectangle")
+        a.data_scope = vz.DataScope("t", (0, 1))
+        b.data_scope = vz.DataScope("t", (2,))
+        s.group_elements([a, b])
+        before = vz.serialize_scene(s)
+        with pytest.raises(EncodingError, match="aggregator"):
+            vz.apply_encoding(s, a, "width", "v")
+        assert vz.serialize_scene(s) == before
+
 
 class TestRemoveEncoding:
     def test_remove_then_set_direct(self):

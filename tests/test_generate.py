@@ -209,18 +209,23 @@ class TestDivide:
     def test_type_derivation_table(self, scene):
         t = vz.import_table(b"k\na\nb\n", "td")
         scene.add_dataset(t)
+        stack = {"type": "stack", "orientation": "horizontal", "gap": 0.0}
+        angular = {"type": "stack", "orientation": "angular", "gap": 0.0}
         cases = [
-            ("rectangle", "horizontal", "rectangle"),
-            ("circle", "angular", "pie"),
-            ("circle", "radial", "ring"),
-            ("line", None, "line"),
-            ("pie", None, "arc"),
-            ("ring", None, "arc"),
+            ("rectangle", "horizontal", "rectangle", stack),
+            ("circle", "angular", "pie", angular),
+            ("circle", "radial", "ring", None),
+            ("line", None, "line", None),
+            ("pie", None, "arc", None),
+            ("ring", None, "arc", angular),
         ]
-        for in_type, orientation, out_type in cases:
+        for in_type, orientation, out_type, layout in cases:
             col = vz.divide(scene, scene.create_mark(in_type), "td", "k", orientation)
             got = {scene.elements[m].type for m in col.members}
             assert got == {out_type}, (in_type, orientation)
+            expected = vz.layout.normalize_layout(layout) if layout else None
+            assert col.layout == expected, (in_type, orientation)
+            assert col.layout_default == (layout is not None)
 
     def test_unsupported_type(self, scene):
         with pytest.raises(SceneError):
@@ -329,6 +334,13 @@ class TestClassify:
         col = vz.repeat(scene, scene.create_mark("rectangle"), "survey", "age")
         with pytest.raises(SceneError, match="mixed"):
             vz.classify(scene, col, "response")
+
+    def test_empty_unscoped_collection_rejected(self, scene):
+        col = scene.register(vz.Group(scene.make_id("col"), "collection"))
+        before = vz.serialize_scene(scene)
+        with pytest.raises(SceneError, match="no members"):
+            vz.classify(scene, col, "age")
+        assert vz.serialize_scene(scene) == before
 
     def test_subcollections_are_peers(self):
         s, col = self._eight_rect_collection()
@@ -439,6 +451,13 @@ class TestRepopulate:
         values = [scene.get_scope_value(scene.elements[m], "answer") for m in col.members]
         assert values == ["strongly disagree", "disagree", "agree", "strongly agree"]
 
+    def test_malformed_attribute_pair_rejected(self):
+        s, rows, _ = self._template()
+        before = vz.serialize_scene(s)
+        with pytest.raises(DataError, match="pair"):
+            vz.repopulate(s, rows, "sales", [("k",)])
+        assert vz.serialize_scene(s) == before
+
     def test_without_provenance_errors(self, scene):
         a = scene.create_mark("rectangle")
         b = scene.create_mark("rectangle")
@@ -499,6 +518,19 @@ class TestStratify:
         root = marks[0]
         assert root.tree_parent is None
         assert sum(1 for m in marks if m.tree_parent == root.id) == 2
+
+    def test_deep_path_tree(self):
+        n = 1500
+        doc = {"nodes": [{"id": f"n{i}"} for i in range(n)],
+               "links": [{"source": f"n{i}", "target": f"n{i + 1}"} for i in range(n - 1)]}
+        s = vz.create_scene()
+        s.add_dataset(vz.import_network(json.dumps(doc).encode(), "path"))
+        col = vz.stratify(s, s.create_mark("rectangle", {"width": 90, "height": 3000}),
+                          "path", "id", "horizontal")
+        assert len(s.elements) == n + 1
+        assert len(col.members) == n
+        report = vz.validate_scene(s)
+        assert vz.validate.passed(report), report
 
     def test_non_tree_rejected(self, scene):
         doc = {"nodes": [{"id": "a"}, {"id": "b"}, {"id": "c"}],

@@ -364,6 +364,40 @@ class TestDescendants:
         assert scene.descendants(m[0]) == []
 
 
+class TestReplace:
+    def _fresh(self, s):
+        return s.adopt(vz.Mark(s.make_id("mark"), "rectangle"))
+
+    def _assert_gone(self, s, old, subtree):
+        assert old.parent is None
+        for el in subtree:
+            assert el.id not in s.elements
+            assert el.id not in s.roots
+            assert all(el.id not in ps.members for ps in s.peer_sets.values())
+
+    def test_replace_root(self, scene):
+        col = vz.repeat(scene, scene.create_mark("rectangle"), "survey", "age")
+        other = scene.create_mark("circle")
+        subtree = [col] + scene.descendants(col)
+        new = self._fresh(scene)
+        scene.replace(col, new)
+        assert scene.roots == [new.id, other.id]
+        assert new.parent is None
+        self._assert_gone(scene, col, subtree)
+
+    def test_replace_nested_member(self):
+        s, parts = build_diverging_bar()
+        rows = parts["rows"]
+        row = s.elements[rows.members[1]]
+        subtree = [row] + s.descendants(row)
+        new = self._fresh(s)
+        s.replace(row, new)
+        assert rows.members[1] == new.id
+        assert new.parent == rows.id
+        assert new.id not in s.roots
+        self._assert_gone(s, row, subtree)
+
+
 class TestAuxAndView:
     def test_add_axis_and_legend(self):
         s, parts = build_diverging_bar()
