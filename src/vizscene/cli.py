@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .data import import_network, import_table
 from .elements import Group
-from .errors import PipelineError, SceneFormatError, VizSceneError
+from .errors import DataError, PipelineError, SceneFormatError, VizSceneError
 from .generate import repopulate
 from .pipeline import execute_pipeline, load_pipeline
 from .sceneio import deserialize_scene, export_dsvg, serialize_scene
@@ -66,7 +66,7 @@ def cmd_render(args) -> int:
     try:
         steps = load_pipeline(args.pipeline)
         data = _parse_data_flags(args.data)
-    except (OSError, ValueError, PipelineError) as e:
+    except (OSError, ValueError, DataError, PipelineError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     try:
@@ -108,7 +108,7 @@ def cmd_repopulate(args) -> int:
         pairs = [tuple(m.split("=", 1)) for m in args.map or []]
         if any(len(p) != 2 for p in pairs):
             raise ValueError("--map expects new_attr=current_attr")
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, DataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     try:

@@ -42,6 +42,12 @@ MARK_CHANNELS = {
 
 GROUP_CHANNELS = ("x", "y", "width", "height")
 
+SEGMENT_CHANNELS = ("x", "y", "stroke", "stroke_width")
+
+# mark types whose vertices are data, not derived from size channels; only
+# their segments' positions can be written
+VERTEX_MARK_TYPES = ("polyline", "polygon", "path", "area", "geoPolygon", "line")
+
 # smart defaults: visible at identity zoom without any encodings applied
 MARK_DEFAULTS = {
     "rectangle": {"x": 0, "y": 0, "width": 30, "height": 30, "fill": "#888", "opacity": 1},
@@ -123,6 +129,7 @@ class Segment:
     kind: str = "line"  # or "curve"
     channels: dict = field(default_factory=dict)
     data_scope: DataScope | None = None
+    peer_set: str | None = None
 
 
 @dataclass
@@ -167,16 +174,25 @@ class Group:
         return self.group_kind
 
 
-def valid_channels(mark_type: str):
-    try:
-        return MARK_CHANNELS[mark_type]
-    except KeyError:
-        raise SceneError(f"unknown mark type {mark_type!r}") from None
+_PART_CHANNELS = {Group: (GROUP_CHANNELS, "a group"), Vertex: (POSITION_CHANNELS, "a vertex"),
+                  Segment: (SEGMENT_CHANNELS, "a segment")}
 
 
-def check_channel(mark_type: str, channel: str):
-    if channel not in valid_channels(mark_type):
-        raise ChannelError(f"channel {channel!r} is not valid for mark type {mark_type!r}")
+def check_channel(el, channel: str):
+    """Raise ``ChannelError`` unless ``el`` has ``channel``: a mark, or a mark
+    type name, per ``MARK_CHANNELS``; a group per ``GROUP_CHANNELS``; a vertex
+    per ``POSITION_CHANNELS``; a segment per ``SEGMENT_CHANNELS``."""
+    if isinstance(el, Mark):
+        el = el.type
+    if isinstance(el, str):
+        if channel in MARK_CHANNELS[el]:
+            return
+        owner = f"mark type {el!r}"
+    else:
+        valid, owner = _PART_CHANNELS[type(el)]
+        if channel in valid:
+            return
+    raise ChannelError(f"channel {channel!r} is not valid for {owner}")
 
 
 def sync_geometry(mark: Mark, make_id):

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 from .constraints import check_position_writers
 from .data import aggregate, canonical_order
-from .elements import (SIZE_CHANNELS, Group, Mark, Segment, Vertex,
-                       check_channel)
+from .elements import POSITION_CHANNELS, check_channel
 from .errors import EncodingError, LayoutError, SceneError
 
 SCALE_KINDS = ("linear", "power", "log", "ordinal-point", "band",
@@ -164,47 +163,31 @@ def _observed_values(scene, enc: Encoding):
             for p in encoding_peers(scene, enc)]
 
 
-def infer_scale(scene, channel: str, attribute_kind: str, values, dataset, attribute):
-    """Pick a scale for a channel/attribute pair, mirroring common chart defaults."""
+def infer_scale(channel: str, attribute_kind: str, values, dataset, attribute) -> Scale:
+    """Pick a scale for a channel/attribute pair, mirroring common chart
+    defaults. The scale has no id yet: the caller allocates one once nothing
+    else can fail."""
     if channel == "text":
-        return Scale(scene.make_id("scale"), "identity")
+        return Scale("", "identity")
     if attribute_kind == "quantitative":
         numeric = [v for v in values if v is not None]
         lo, hi = (min(numeric), max(numeric)) if numeric else (0, 1)
         if channel in ("fill", "stroke"):
-            return Scale(scene.make_id("scale"), "color-sequential",
-                         [lo, hi], list(SEQUENTIAL_BLUES))
+            return Scale("", "color-sequential", [lo, hi], list(SEQUENTIAL_BLUES))
         domain = [lo, hi] if channel in POSITIONAL else [min(0, lo), hi]
-        rng = list(DEFAULT_RANGES.get(channel, (0, 100)))
-        return Scale(scene.make_id("scale"), "linear", domain, rng)
+        return Scale("", "linear", domain, list(DEFAULT_RANGES.get(channel, (0, 100))))
     # nominal / ordinal / temporal
     categories = canonical_order(dataset, attribute, values)
     if channel in ("fill", "stroke"):
-        return Scale(scene.make_id("scale"), "color-categorical",
-                     categories, list(CATEGORY10))
+        return Scale("", "color-categorical", categories, list(CATEGORY10))
     if channel in POSITIONAL:
-        return Scale(scene.make_id("scale"), "band", categories,
-                     list(DEFAULT_RANGES[channel]))
+        return Scale("", "band", categories, list(DEFAULT_RANGES[channel]))
     if channel in ("font_size", "width", "height", "radius", "opacity",
                    "angle", "stroke_width", "outer_radius", "inner_radius"):
-        return Scale(scene.make_id("scale"), "ordinal-point", categories,
+        return Scale("", "ordinal-point", categories,
                      list(DEFAULT_RANGES.get(channel, (0, 100))))
     raise EncodingError(
         f"cannot infer a scale for channel {channel!r} with {attribute_kind} data")
-
-
-def _check_channel_for(peer, channel: str):
-    if isinstance(peer, Mark):
-        check_channel(peer.type, channel)
-    elif isinstance(peer, Vertex):
-        if channel not in ("x", "y"):
-            raise EncodingError(f"channel {channel!r} is not valid for a vertex")
-    elif isinstance(peer, Segment):
-        if channel not in ("x", "y", "stroke", "stroke_width"):
-            raise EncodingError(f"channel {channel!r} is not valid for a segment")
-    elif isinstance(peer, Group):
-        if channel not in ("x", "y", "width", "height"):
-            raise EncodingError(f"channel {channel!r} is not valid for a group")
 
 
 def apply_encoding(scene, element, channel: str, attribute: str,
@@ -213,7 +196,7 @@ def apply_encoding(scene, element, channel: str, attribute: str,
     el = scene.resolve(element)
     peers = scene.peers_of(el)
     for peer in peers:
-        _check_channel_for(peer, channel)
+        check_channel(peer, channel)
         scope = peer.data_scope
         if scope is None:
             raise EncodingError(f"element {peer.id} has no data scope")
@@ -225,40 +208,37 @@ def apply_encoding(scene, element, channel: str, attribute: str,
     if bound is not None:
         raise EncodingError(
             f"channel {channel!r} already encoded for this peer set ({bound.id})")
-    if channel in ("x", "y"):
+    if channel in POSITION_CHANNELS:
         check_position_writers(scene, ((p, channel) for p in peers),
                                f"encode {channel}", EncodingError,
                                layout_error=LayoutError)
     scope = el.data_scope
     dataset = scene.dataset(scope.dataset)
     values = [peer_value(scene, p, attribute, aggregator) for p in peers]
-    if isinstance(scale, str) and scale not in scene.scales:
-        raise SceneError(f"unknown scale {scale!r}")
-    # the peer set's id comes before an inferred scale's
-    if el.peer_set is None:
-        scene.make_peer_set([el])
-    peer_set = el.peer_set
-
     if isinstance(scale, str):
-        scale_obj = scene.scales[scale]
-    elif scale is None:
+        if scale not in scene.scales:
+            raise SceneError(f"unknown scale {scale!r}")
+        scale = scene.scales[scale]
+    inferred = scale is None
+    if inferred:
         if scope.table == "items" and dataset.has_attribute(attribute):
             kind = dataset.attribute(attribute).kind
         elif all(isinstance(v, (int, float)) for v in values):
             kind = "quantitative"
         else:
             kind = "nominal"
-        scale_obj = infer_scale(scene, channel, kind, values, dataset, attribute)
-        scene.scales[scale_obj.id] = scale_obj
-    else:
-        scale_obj = scale
-        if scale_obj.id not in scene.scales:
-            scene.scales[scale_obj.id] = scale_obj
+        scale = infer_scale(channel, kind, values, dataset, attribute)
+    # nothing below can fail; the peer set's id comes before an inferred scale's
+    if el.peer_set is None:
+        scene.make_peer_set([el])
+    if inferred:
+        scale.id = scene.make_id("scale")
+    scene.scales.setdefault(scale.id, scale)
 
-    enc = Encoding(scene.make_id("enc"), peer_set, channel, attribute,
-                   scale_obj.id, aggregator)
+    enc = Encoding(scene.make_id("enc"), el.peer_set, channel, attribute,
+                   scale.id, aggregator)
     scene.encodings[enc.id] = enc
-    scale_obj.shared_by.append(enc.id)
+    scale.shared_by.append(enc.id)
     scene.dirty.encodings.add(enc.id)
     scene.maybe_propagate()
     return enc
@@ -287,11 +267,8 @@ def evaluate_encoding(scene, enc: Encoding):
         if enc.channel == "text":
             out = _format_text(out)
         if scene.write_channel(peer, enc.channel, out):
-            owner = scene.owner_mark(peer) if isinstance(peer, (Vertex, Segment)) else peer
-            if enc.channel in SIZE_CHANNELS or isinstance(peer, (Vertex, Segment)):
-                sized.add(owner.id)
-            else:
-                moved.add(owner.id)
+            owner, is_sized = scene.dirty_target(peer, enc.channel)
+            (sized if is_sized else moved).add(owner)
     return sized, moved
 
 

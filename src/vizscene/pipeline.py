@@ -21,7 +21,7 @@ from .data import aggregate as _aggregate
 from .data import group_items, import_network, import_table, unique_values
 from .elements import Group, Mark
 from .errors import PipelineError, VizSceneError
-from .scene import Scene, create_scene
+from .scene import AuxiliaryElement, Scene, create_scene
 from .sceneio import deserialize_scene, export_dsvg, serialize_scene
 from .svgrender import content_bbox, render, render_axis, render_legend, render_mark
 from .validate import validate_scene
@@ -143,6 +143,24 @@ def _op_import_network(ctx, target, args):
     return net
 
 
+# default channel and placement of the axis and legend ops
+_AUX_DEFAULTS = {"axis": ("x", "bottom"), "legend": ("fill", "right")}
+
+
+def _aux_args(ctx, kind, args):
+    """An axis or legend op's channel, scale id, placement and offset."""
+    channel, placement = _AUX_DEFAULTS[kind]
+    return (args.get("channel", channel), _scale_of(ctx, args["scale"]).id,
+            args.get("placement", placement), args.get("offset", 20.0))
+
+
+def _op_render_aux(ctx, kind, args):
+    """Draw an axis or legend without adding it to the scene."""
+    aux = AuxiliaryElement("", kind, *_aux_args(ctx, kind, args))
+    draw = render_axis if kind == "axis" else render_legend
+    return draw(aux, _scale_of(ctx, args["scale"]), content_bbox(ctx.scene))
+
+
 def _op_create_scene(ctx, target, args):
     datasets = ctx.scene.datasets
     ctx.scene = create_scene(args.get("id"))
@@ -177,12 +195,8 @@ REGISTRY = {
     "peers_of": lambda ctx, t, a: ctx.scene.peers_of(resolve_one(ctx, t)),
     "classify_group_kind": lambda ctx, t, a: ctx.scene.classify_group_kind(
         resolve_elements(ctx, a["members"])),
-    "add_axis": lambda ctx, t, a: ctx.scene.add_axis(
-        a.get("channel", "x"), _scale_of(ctx, a["scale"]).id,
-        a.get("placement", "bottom"), a.get("offset", 20.0)),
-    "add_legend": lambda ctx, t, a: ctx.scene.add_legend(
-        a.get("channel", "fill"), _scale_of(ctx, a["scale"]).id,
-        a.get("placement", "right"), a.get("offset", 20.0)),
+    "add_axis": lambda ctx, t, a: ctx.scene.add_axis(*_aux_args(ctx, "axis", a)),
+    "add_legend": lambda ctx, t, a: ctx.scene.add_legend(*_aux_args(ctx, "legend", a)),
     "add_gridlines": lambda ctx, t, a: ctx.scene.add_gridlines(
         _scale_of(ctx, a["scale"]).id, a.get("orientation", "horizontal")),
     "add_annotation": lambda ctx, t, a: ctx.scene.add_annotation(
@@ -259,14 +273,8 @@ REGISTRY = {
     "render": lambda ctx, t, a: render(
         ctx.scene, a.get("width", 640), a.get("height", 480), a.get("background")),
     "render_mark": lambda ctx, t, a: render_mark(resolve_one(ctx, t)),
-    "render_axis": lambda ctx, t, a: render_axis(
-        ctx.scene.add_axis(a.get("channel", "x"), _scale_of(ctx, a["scale"]).id,
-                           a.get("placement", "bottom"), a.get("offset", 20.0)),
-        _scale_of(ctx, a["scale"]), content_bbox(ctx.scene)),
-    "render_legend": lambda ctx, t, a: render_legend(
-        ctx.scene.add_legend(a.get("channel", "fill"), _scale_of(ctx, a["scale"]).id,
-                             a.get("placement", "right"), a.get("offset", 20.0)),
-        _scale_of(ctx, a["scale"]), content_bbox(ctx.scene)),
+    "render_axis": lambda ctx, t, a: _op_render_aux(ctx, "axis", a),
+    "render_legend": lambda ctx, t, a: _op_render_aux(ctx, "legend", a),
     "validate": lambda ctx, t, a: validate_scene(ctx.scene),
 }
 

@@ -12,9 +12,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .data import Table, aggregate
-from .elements import (GROUP_CHANNELS, GROUP_ID_PREFIX, MARK_DEFAULTS, SIZE_CHANNELS,
-                       DataScope, Group, Mark, Segment, Vertex, check_channel, mark_bbox,
-                       sync_geometry, translate_mark, union_scopes)
+from .elements import (GROUP_ID_PREFIX, MARK_DEFAULTS, POSITION_CHANNELS, SIZE_CHANNELS,
+                       VERTEX_MARK_TYPES, DataScope, Group, Mark, Segment, Vertex,
+                       check_channel, mark_bbox, sync_geometry, translate_mark,
+                       union_scopes)
 from .errors import ChannelError, SceneError
 
 _scene_ids = itertools.count(1)
@@ -302,12 +303,6 @@ class Scene:
         self.last_report = run_propagation(self)
         return self.last_report
 
-    def touch_sized(self, el_id: str):
-        self.dirty.sized.add(el_id)
-
-    def touch_moved(self, el_id: str):
-        self.dirty.moved.add(el_id)
-
     # ------------------------------------------------------------- geometry
 
     def bbox_in_parent(self, el):
@@ -358,12 +353,14 @@ class Scene:
         else:
             raise SceneError("cannot translate a segment directly")
         if touch:
-            self.touch_moved(el.id)
+            self.dirty.moved.add(el.id)
             self.maybe_propagate()
 
     # ------------------------------------------------------------- creation
 
     def create_mark(self, mark_type: str, props: dict | None = None) -> Mark:
+        if mark_type not in MARK_DEFAULTS:
+            raise SceneError(f"unknown mark type {mark_type!r}")
         props = dict(props or {})
         vertices = props.pop("vertices", None)
         for key in props:
@@ -449,84 +446,61 @@ class Scene:
 
     def get_channel(self, el, channel: str):
         el = self.resolve(el)
-        if isinstance(el, Mark):
-            check_channel(el.type, channel)
+        check_channel(el, channel)
+        return self._read_channel(el, channel)
+
+    def _read_channel(self, el, channel: str):
+        """The value of a channel ``check_channel`` accepted for ``el``."""
+        if isinstance(el, Mark) or channel not in POSITION_CHANNELS:
             return el.channels.get(channel)
-        if isinstance(el, Group):
-            if channel in ("x", "y"):
-                l, t, r, b = self.bbox_in_parent(el)
-                return (l + r) / 2 if channel == "x" else (t + b) / 2
-            if channel in GROUP_CHANNELS:
-                return el.channels.get(channel)
-            raise ChannelError(f"channel {channel!r} is not valid for a group")
         if isinstance(el, Vertex):
-            if channel not in ("x", "y"):
-                raise ChannelError(f"channel {channel!r} is not valid for a vertex")
-            return el.x if channel == "x" else el.y
+            return getattr(el, channel)
         if isinstance(el, Segment):
-            if channel in ("stroke", "stroke_width"):
-                return el.channels.get(channel)
-            if channel in ("x", "y"):
-                a, b = (self.vertex(v) for v in el.endpoints)
-                return (a.x + b.x) / 2 if channel == "x" else (a.y + b.y) / 2
-            raise ChannelError(f"channel {channel!r} is not valid for a segment")
-        raise SceneError("unsupported element")
+            a, b = (self.vertex(v) for v in el.endpoints)
+            return (getattr(a, channel) + getattr(b, channel)) / 2
+        l, t, r, b = self.bbox_in_parent(el)
+        return (l + r) / 2 if channel == "x" else (t + b) / 2
 
     def write_channel(self, el, channel: str, value) -> bool:
         """Typed raw write with geometry sync; returns True when the value
-        changed. No encoding-ownership checks, no dirty marking."""
+        changed. No encoding-ownership checks, no dirty marking. A segment's
+        position is written to both its endpoints."""
         el = self.resolve(el)
+        check_channel(el, channel)
         if isinstance(el, Mark):
-            check_channel(el.type, channel)
-            if el.channels.get(channel) == value:
-                return False
+            current = el.channels.get(channel)
+        elif isinstance(el, Segment) and channel in POSITION_CHANNELS:
+            mark = self.owner_mark(el)
+            if mark.type not in VERTEX_MARK_TYPES:
+                raise ChannelError(
+                    f"segment positions of a {mark.type} derive from its size channels")
+            return any([self.write_channel(self.vertex(v), channel, value)
+                        for v in el.endpoints])
+        else:
+            current = self._read_channel(el, channel)
+        if current == value:
+            return False
+        if isinstance(el, Mark):
             el.channels[channel] = value
             sync_geometry(el, self.make_id)
             self.index_mark(el)
-            return True
-        if isinstance(el, Group):
-            if channel in ("x", "y"):
-                current = self.get_channel(el, channel)
-                if current == value:
-                    return False
-                if channel == "x":
-                    el.tx += value - current
-                else:
-                    el.ty += value - current
-                return True
-            if channel in GROUP_CHANNELS:
-                if el.channels.get(channel) == value:
-                    return False
-                el.channels[channel] = value
-                return True
-            raise ChannelError(f"channel {channel!r} is not valid for a group")
-        if isinstance(el, Vertex):
-            if channel not in ("x", "y"):
-                raise ChannelError(f"channel {channel!r} is not valid for a vertex")
-            if getattr(el, channel) == value:
-                return False
+        elif isinstance(el, Vertex):
             setattr(el, channel, value)
-            return True
-        if isinstance(el, Segment):
-            if channel in ("stroke", "stroke_width"):
-                if el.channels.get(channel) == value:
-                    return False
-                el.channels[channel] = value
-                return True
-            if channel in ("x", "y"):
-                mark = self.owner_mark(el)
-                if mark.type not in ("polyline", "polygon", "path", "area", "geoPolygon", "line"):
-                    raise ChannelError(
-                        f"segment positions of a {mark.type} derive from its size channels")
-                changed = False
-                for vid in el.endpoints:
-                    v = self.vertex(vid)
-                    if getattr(v, channel) != value:
-                        setattr(v, channel, value)
-                        changed = True
-                return changed
-            raise ChannelError(f"channel {channel!r} is not valid for a segment")
-        raise SceneError("unsupported element")
+        elif channel not in POSITION_CHANNELS:
+            el.channels[channel] = value
+        elif channel == "x":
+            el.tx += value - current
+        else:
+            el.ty += value - current
+        return True
+
+    def dirty_target(self, el, channel: str):
+        """``(owner id, sized)``: the element a write to ``el``'s channel
+        changes, and whether it changes its extent rather than its position.
+        A vertex or segment write reshapes its mark."""
+        if isinstance(el, (Vertex, Segment)):
+            return self.owner_mark(el).id, True
+        return el.id, channel in SIZE_CHANNELS
 
     def set_channel(self, el, channel: str, value):
         el = self.resolve(el)
@@ -536,11 +510,8 @@ class Scene:
                 f"channel {channel!r} is bound by encoding {enc.id}; "
                 f"remove the encoding before setting it directly")
         self.write_channel(el, channel, value)
-        owner = self.owner_mark(el) if isinstance(el, (Vertex, Segment)) else el
-        if channel in SIZE_CHANNELS or isinstance(el, (Vertex, Segment)):
-            self.touch_sized(owner.id)
-        else:
-            self.touch_moved(owner.id)
+        owner, sized = self.dirty_target(el, channel)
+        (self.dirty.sized if sized else self.dirty.moved).add(owner)
         self.maybe_propagate()
 
     def set_channel_peers(self, el, channel: str, value):
@@ -637,26 +608,22 @@ class Scene:
 
     def add_axis(self, channel: str, scale_id: str, placement: str = "bottom",
                  offset: float = 20.0) -> AuxiliaryElement:
-        if scale_id not in self.scales:
-            raise SceneError(f"unknown scale {scale_id!r}")
-        ax = AuxiliaryElement(self.make_id("aux"), "axis", channel, scale_id, placement, offset)
-        self.aux.append(ax)
-        return ax
+        return self._add_aux("axis", channel, scale_id, placement, offset)
 
     def add_legend(self, channel: str, scale_id: str, placement: str = "right",
                    offset: float = 20.0) -> AuxiliaryElement:
-        if scale_id not in self.scales:
-            raise SceneError(f"unknown scale {scale_id!r}")
-        lg = AuxiliaryElement(self.make_id("aux"), "legend", channel, scale_id, placement, offset)
-        self.aux.append(lg)
-        return lg
+        return self._add_aux("legend", channel, scale_id, placement, offset)
 
     def add_gridlines(self, scale_id: str, orientation: str = "horizontal") -> AuxiliaryElement:
+        return self._add_aux("gridlines", None, scale_id, orientation)
+
+    def _add_aux(self, kind: str, channel, scale_id: str, placement: str,
+                 offset: float = 20.0) -> AuxiliaryElement:
         if scale_id not in self.scales:
             raise SceneError(f"unknown scale {scale_id!r}")
-        gl = AuxiliaryElement(self.make_id("aux"), "gridlines", None, scale_id, orientation)
-        self.aux.append(gl)
-        return gl
+        aux = AuxiliaryElement(self.make_id("aux"), kind, channel, scale_id, placement, offset)
+        self.aux.append(aux)
+        return aux
 
     def add_annotation(self, text: str, x: float, y: float,
                        props: dict | None = None) -> AuxiliaryElement:

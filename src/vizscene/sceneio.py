@@ -359,7 +359,7 @@ def _parse_mark(doc, path, seen_ids) -> Mark:
     mark_type = doc.get("type")
     if mark_type not in MARK_TYPES:
         raise SceneFormatError(f"unknown mark type {mark_type!r}", path)
-    channels = dict(doc.get("channels", {}))
+    channels = dict(_field(doc, "channels", path, dict, {}))
     for c in ("width", "height"):
         _field(channels, c, f"{path}.channels", _NUMBER, 0)
     mark = Mark(doc["id"], mark_type, channels,
@@ -378,7 +378,8 @@ def _parse_mark(doc, path, seen_ids) -> Mark:
     for j, s_doc in enumerate(doc.get("segments", [])):
         s_path = f"{path}.segments[{j}]"
         seg = Segment(_id(s_doc, s_path), tuple(_ids(s_doc, "endpoints", s_path)),
-                      s_doc.get("kind", "line"), dict(s_doc.get("channels", {}) or {}))
+                      s_doc.get("kind", "line"),
+                      dict(_field(s_doc, "channels", s_path, dict, {})))
         seen_ids.append(seg.id)
         mark.segments.append(seg)
     return mark
@@ -387,12 +388,15 @@ def _parse_mark(doc, path, seen_ids) -> Mark:
 def _parse_group(doc, path) -> Group:
     group = Group(doc["id"], doc["kind"],
                   members=_ids(doc, "members", path),
-                  channels=dict(doc.get("channels", {})),
+                  channels=dict(_field(doc, "channels", path, dict, {})),
                   layout=doc.get("layout"),
                   layout_default=doc.get("layout_default", False),
                   provenance=doc.get("provenance"))
     offset = doc.get("offset", [0.0, 0.0])
-    group.tx, group.ty = offset[0], offset[1]
+    if not (isinstance(offset, list) and len(offset) == 2
+            and all(type(v) in _NUMBER for v in offset)):
+        raise SceneFormatError(f"unexpected value {offset!r}", f"{path}.offset")
+    group.tx, group.ty = offset
     group.data_scope = _parse_scope(doc, path)
     if group.layout is not None:
         try:

@@ -293,7 +293,7 @@ class TestPropagate:
         follower.data_scope = DataScope("survey", (0,))
         spec = vz.affix(scene, [follower.id], [anchor.id], "center")
         follower.data_scope = DataScope("survey", (3,))  # break the pairing
-        scene.touch_moved(follower.id)
+        scene.dirty.moved.add(follower.id)
         report = scene.propagate()
         assert any(spec.id in entry for entry in report.unsatisfied)
 

@@ -187,6 +187,16 @@ class TestApplyEncoding:
             vz.apply_encoding(s, a, "width", "v")
         assert vz.serialize_scene(s) == before
 
+    def test_uninferable_scale_leaves_no_peer_set(self):
+        s = vz.create_scene()
+        s.add_dataset(vz.import_table(b"k\na\n", "t"))
+        arc = s.create_mark("arc")
+        arc.data_scope = vz.DataScope("t", (0,))
+        before = vz.serialize_scene(s)
+        with pytest.raises(EncodingError, match="cannot infer a scale"):
+            vz.apply_encoding(s, arc, "start_angle", "k")
+        assert vz.serialize_scene(s) == before
+
 
 class TestRemoveEncoding:
     def test_remove_then_set_direct(self):
@@ -321,30 +331,27 @@ class TestShareAndSync:
 
 
 class TestInference:
-    def test_quantitative_size_domain_starts_at_zero(self, survey, scene):
-        scale = infer_scale(scene, "width", "quantitative", [17.0, 36.0],
-                            survey, "pct")
+    def test_quantitative_size_domain_starts_at_zero(self, survey):
+        scale = infer_scale("width", "quantitative", [17.0, 36.0], survey, "pct")
         assert scale.kind == "linear"
         assert scale.domain == [0, 36.0]
 
-    def test_quantitative_position_uses_extent(self, survey, scene):
-        scale = infer_scale(scene, "x", "quantitative", [17.0, 36.0], survey, "pct")
+    def test_quantitative_position_uses_extent(self, survey):
+        scale = infer_scale("x", "quantitative", [17.0, 36.0], survey, "pct")
         assert scale.domain == [17.0, 36.0]
 
-    def test_nominal_position_is_band(self, survey, scene):
-        scale = infer_scale(scene, "x", "nominal",
-                            ["agree", "disagree"], survey, "response")
+    def test_nominal_position_is_band(self, survey):
+        scale = infer_scale("x", "nominal", ["agree", "disagree"], survey, "response")
         assert scale.kind == "band"
 
-    def test_nominal_fill_is_categorical(self, survey, scene):
-        scale = infer_scale(scene, "fill", "nominal",
-                            ["agree", "disagree"], survey, "response")
+    def test_nominal_fill_is_categorical(self, survey):
+        scale = infer_scale("fill", "nominal", ["agree", "disagree"], survey, "response")
         assert scale.kind == "color-categorical"
 
-    def test_quantitative_fill_is_sequential(self, survey, scene):
-        scale = infer_scale(scene, "fill", "quantitative", [1.0, 5.0], survey, "pct")
+    def test_quantitative_fill_is_sequential(self, survey):
+        scale = infer_scale("fill", "quantitative", [1.0, 5.0], survey, "pct")
         assert scale.kind == "color-sequential"
 
-    def test_text_is_identity(self, survey, scene):
-        scale = infer_scale(scene, "text", "quantitative", [1.0], survey, "pct")
+    def test_text_is_identity(self, survey):
+        scale = infer_scale("text", "quantitative", [1.0], survey, "pct")
         assert scale.kind == "identity"

@@ -16,7 +16,7 @@ def _collection_of_rects(scene, sizes, dataset="survey", attribute="age"):
         m = scene.elements[member_id]
         m.channels["width"] = w
         m.channels["height"] = h
-        scene.touch_sized(member_id)
+        scene.dirty.sized.add(member_id)
     scene.propagate()
     return col
 

@@ -106,6 +106,20 @@ class TestExecute:
         b = vz.render(execute_pipeline(steps, data, scene_id="scene-1").scene)
         assert a == b
 
+    @pytest.mark.parametrize("op, scale", [("render_axis", "enc_width"),
+                                           ("render_legend", "enc_fill")])
+    def test_rendering_an_axis_or_legend_leaves_the_scene_unchanged(self, op, scale):
+        steps = json.loads((GALLERY / "pipelines" / "diverging_bar.json").read_text())
+        data = {"survey": vz.import_table((GALLERY / "data/survey.csv").read_bytes(),
+                                          "survey")}
+        ctx = execute_pipeline(steps + [
+            {"op": "serialize_scene", "as": "before"},
+            {"op": op, "args": {"scale": scale}, "as": "fragment"},
+            {"op": "serialize_scene", "as": "after"}], data)
+        assert ctx.handles["fragment"].startswith("<g>")
+        assert len(ctx.scene.aux) == len(json.loads(ctx.handles["before"])["aux"])
+        assert ctx.handles["after"] == ctx.handles["before"]
+
 
 class TestCliRender:
     def test_diverging_bar_to_svg(self, tmp_path, manifest):
@@ -166,6 +180,16 @@ class TestCliRender:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["render", "--pipeline", str(bad)]) == 2
+
+    @pytest.mark.parametrize("name, text", [("short_row.csv", "a,b\n1,2\n3\n"),
+                                            ("no_links.json", '{"nodes": []}')])
+    def test_malformed_data_file_exit_2(self, tmp_path, capsys, name, text):
+        data = tmp_path / name
+        data.write_text(text)
+        pipeline = tmp_path / "p.json"
+        pipeline.write_text("[]")
+        assert main(["render", "--pipeline", str(pipeline), f"--data=t={data}"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_verbose_reports(self, tmp_path, manifest, capsys):
         out = tmp_path / "o.svg"
@@ -234,6 +258,13 @@ class TestCliRepopulate:
     def test_bad_scene_file_exit_2(self, tmp_path):
         assert main(["repopulate", "--scene", str(tmp_path / "nope.json"),
                      f"--data=sales={GALLERY / 'data' / 'sales.csv'}"]) == 2
+
+    def test_malformed_data_file_exit_2(self, tmp_path, capsys):
+        scene_json, _ = self._template(tmp_path)
+        bad = tmp_path / "short_row.csv"
+        bad.write_text("region,product,value\neast,a\n")
+        assert main(["repopulate", "--scene", str(scene_json), f"--data=sales={bad}"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCliValidate:

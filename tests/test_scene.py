@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +72,13 @@ class TestCreateMark:
         s = vz.create_scene()
         with pytest.raises(ChannelError, match="radius.*rectangle"):
             s.create_mark("rectangle", {"radius": 4})
+
+    @pytest.mark.parametrize("props", [None, {"x": 4}])
+    def test_unknown_type_refused(self, props):
+        s = vz.create_scene()
+        with pytest.raises(SceneError, match="unknown mark type 'hexagon'"):
+            s.create_mark("hexagon", props)
+        assert s.elements == {}
 
 
 class TestGlyph:
@@ -181,6 +190,66 @@ class TestChannels:
         left, top, right, bottom = s.bbox(rect)
         assert abs((right - left) - w) < 1e-9
         assert abs((bottom - top) - h) < 1e-9
+
+
+def _channel_scene():
+    """A scene holding one element of each kind, keyed by the row names of
+    ``CHANNEL_TABLE``."""
+    s = vz.create_scene()
+    rect = s.create_mark("rectangle", {"x": 5, "y": 5, "width": 10, "height": 20})
+    line = s.create_mark("polyline", {"vertices": [(0, 0), (10, 4), (20, 8)]})
+    glyph = s.create_glyph([s.create_mark("circle")])
+    return s, {"mark": rect, "group": glyph, "vertex": line.vertices[1],
+               "polyline segment": line.segments[0], "rectangle segment": rect.segments[0]}
+
+
+# element kind, a channel it has and a value for it, a channel it lacks and
+# how the refusal names the element
+CHANNEL_TABLE = [
+    ("mark", "fill", "#f00", "radius", "mark type 'rectangle'"),
+    ("group", "x", 100, "fill", "a group"),
+    ("vertex", "y", 9, "fill", "a vertex"),
+    ("polyline segment", "x", 3, "fill", "a segment"),
+    ("rectangle segment", "stroke", "#0f0", "fill", "a segment"),
+]
+
+
+@pytest.mark.parametrize("kind, channel, value, missing, owner", CHANNEL_TABLE)
+class TestChannelTable:
+    """``get_channel``, ``set_channel`` and ``apply_encoding`` agree on which
+    channels each element kind has."""
+
+    def test_set_channel_reads_back(self, kind, channel, value, missing, owner):
+        s, elements = _channel_scene()
+        s.set_channel(elements[kind], channel, value)
+        assert s.get_channel(elements[kind], channel) == value
+
+    def test_get_channel_refuses(self, kind, channel, value, missing, owner):
+        s, elements = _channel_scene()
+        with pytest.raises(ChannelError, match=re.escape(
+                f"channel {missing!r} is not valid for {owner}")):
+            s.get_channel(elements[kind], missing)
+
+    @pytest.mark.parametrize("write", [
+        lambda s, el, channel: s.set_channel(el, channel, 1),
+        lambda s, el, channel: vz.apply_encoding(s, el, channel, "pct"),
+    ], ids=["set_channel", "apply_encoding"])
+    def test_refusal_leaves_the_scene_unchanged(self, kind, channel, value, missing, owner,
+                                                write):
+        s, elements = _channel_scene()
+        before = vz.serialize_scene(s)
+        with pytest.raises(ChannelError, match=re.escape(
+                f"channel {missing!r} is not valid for {owner}")):
+            write(s, elements[kind], missing)
+        assert vz.serialize_scene(s) == before
+
+
+def test_segment_positions_of_a_sized_mark_are_refused():
+    s, elements = _channel_scene()
+    before = vz.serialize_scene(s)
+    with pytest.raises(ChannelError, match="segment positions of a rectangle derive"):
+        s.set_channel(elements["rectangle segment"], "x", 3)
+    assert vz.serialize_scene(s) == before
 
 
 class TestPeers:

@@ -258,6 +258,15 @@ def _break_peer_back_pointer(doc):
     del doc["elements"][_index(doc, "mark-54")]["peer_set"]
 
 
+def _set_element_field(record_id, *keys, value):
+    def mutate(doc):
+        holder = doc["elements"][_index(doc, record_id)]
+        for key in keys[:-1]:
+            holder = holder[key]
+        holder[keys[-1]] = value
+    return mutate
+
+
 class TestStructuralRulesAtLoad:
     """A document loads only if it passes every structural check; the error
     names the record the first failing rule is about."""
@@ -277,16 +286,28 @@ class TestStructuralRulesAtLoad:
         (_missing_peer_member, ("peer_sets", "peers-205"), "member 'mark-999' missing"),
         (_break_peer_back_pointer, ("peer_sets", "peers-205"),
          "member 'mark-54' does not point back"),
+        (_set_element_field("mark-54", "channels", value="ghost"),
+         ("elements", "mark-54", ".channels"), "unexpected value 'ghost'"),
+        (_set_element_field("mark-54", "segments", 0, "channels", value=[]),
+         ("elements", "mark-54", ".segments[0].channels"), "unexpected value []"),
+        (_set_element_field("col-53", "channels", value=1.5),
+         ("elements", "col-53", ".channels"), "unexpected value 1.5"),
+        (_set_element_field("col-53", "offset", value="ghost"),
+         ("elements", "col-53", ".offset"), "unexpected value 'ghost'"),
+        (_set_element_field("col-53", "offset", value=[1]),
+         ("elements", "col-53", ".offset"), "unexpected value [1]"),
+        (_set_element_field("col-53", "offset", value=[1, True]),
+         ("elements", "col-53", ".offset"), "unexpected value [1, True]"),
     ])
     def test_invalid_document_names_its_record(self, mutate, record, message):
         s, _ = build_diverging_bar()
         doc = json.loads(vz.serialize_scene(s))
-        table, key = record
+        table, key, *field = record
         mutate(doc)
         position = key if table == "roots" else _index(doc, key, table)
         with pytest.raises(SceneFormatError, match=re.escape(message)) as err:
             vz.deserialize_scene(json.dumps(doc))
-        assert err.value.path == f"{table}[{position}]"
+        assert err.value.path == f"{table}[{position}]" + "".join(field)
 
     def test_glyph_with_mixed_member_scopes(self, survey):
         s = vz.create_scene()
