@@ -228,9 +228,17 @@ def import_network(source, name: str = "network", *, id_attribute: str = "id") -
         raise DataError("network 'nodes' and 'links' must be arrays")
 
     columns: list[str] = []
-    for node in nodes:
+    ids = set()
+    for k, node in enumerate(nodes):
+        if not isinstance(node, dict):
+            raise DataError(f"network node {k} is not an object")
         if id_attribute not in node:
-            raise DataError(f"network node missing {id_attribute!r}")
+            raise DataError(f"network node {k} missing {id_attribute!r}")
+        try:  # raw ids, comparable with link endpoints, not coerced by inference
+            ids.add(node[id_attribute])
+        except TypeError:
+            raise DataError(f"network node {k} has an unhashable {id_attribute!r}: "
+                            f"{node[id_attribute]!r}") from None
         for key in node:
             if key not in columns:
                 columns.append(key)
@@ -240,16 +248,20 @@ def import_network(source, name: str = "network", *, id_attribute: str = "id") -
     for c in columns:
         cells = ["" if row[c] is None else str(row[c]) for row in items]
         attributes.append(AttributeDef(c, _infer_kind(cells)))
-    # ids must stay comparable with link endpoints, not coerced by inference
-    ids = {node[id_attribute] for node in nodes}
     if len(ids) != len(nodes):
         raise DataError("duplicate node ids in network")
 
     parsed_links = []
     for k, link in enumerate(links):
+        if not isinstance(link, dict):
+            raise DataError(f"network link {k} is not an object")
         if "source" not in link or "target" not in link:
             raise DataError(f"link {k} missing source/target")
-        if link["source"] not in ids or link["target"] not in ids:
+        try:
+            known = link["source"] in ids and link["target"] in ids
+        except TypeError:  # an unhashable endpoint names no node
+            known = False
+        if not known:
             raise DataError(f"link {k} references a node id that does not exist")
         parsed_links.append(dict(link))
 

@@ -106,13 +106,14 @@ class Scene:
         self._counter += 1
         return out
 
-    def bump_counter(self, seen_ids):
-        """After reconstruction, continue numbering past every parsed id."""
-        top = 0
-        for i in seen_ids:
-            tail = i.rsplit("-", 1)
-            if len(tail) == 2 and tail[1].isdigit():
-                top = max(top, int(tail[1]))
+    def bump_counter(self):
+        """After reconstruction, continue numbering past the largest numeric
+        suffix of any id the scene holds."""
+        ids = itertools.chain((self.id,), self.elements, self._vertex_owner, self._segment_owner,
+                              self.peer_sets, self.scales, self.encodings, self.sync_groups,
+                              self.constraints, (a.id for a in self.aux))
+        tails = [i.rpartition("-")[2] for i in ids]
+        top = max(map(int, filter(str.isdecimal, tails)), default=0)
         self._counter = max(self._counter, top + 1)
 
     # ----------------------------------------------------------- registration
@@ -509,7 +510,8 @@ class Scene:
             raise ChannelError(
                 f"channel {channel!r} is bound by encoding {enc.id}; "
                 f"remove the encoding before setting it directly")
-        self.write_channel(el, channel, value)
+        if not self.write_channel(el, channel, value):
+            return
         owner, sized = self.dirty_target(el, channel)
         (self.dirty.sized if sized else self.dirty.moved).add(owner)
         self.maybe_propagate()

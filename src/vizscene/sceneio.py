@@ -11,6 +11,7 @@ JSON path of its record.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .constraints import ConstraintSpec
 from .data import AttributeDef, Network, Table
@@ -162,7 +163,138 @@ def _view_doc(view: ViewConfig) -> dict:
 
 
 def serialize_scene(scene: Scene) -> str:
-    return json.dumps(scene_document(scene), indent=2) + "\n"
+    return dump_json(scene_document(scene)) + "\n"
+
+
+# With an indent, json.dumps leaves its C encoder for a generic pure-Python
+# one; this emitter writes the same text with less work. Exact str, int and
+# float values take a fast path inside containers; anything else is tested in
+# the order json's encoder tests types, so subclasses, non-str keys and
+# unsupported values come out (or fail) as json.dumps has them.
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def dump_json(value) -> str:
+    """The text ``json.dumps`` returns for value with an indent of 2."""
+    out = []
+    try:
+        _emit(value, out, "\n")
+    except RecursionError:
+        if _circular(value):
+            raise ValueError("Circular reference detected") from None
+        raise
+    return "".join(out)
+
+
+def _float(value) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _emit(o, out, nl):
+    """Append o's text; nl is the newline and indent of the line o is on."""
+    t = type(o)
+    if t is dict:
+        _emit_dict(o, out, nl)
+    elif t is list or t is tuple:
+        _emit_list(o, out, nl)
+    elif isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float(o))
+    elif isinstance(o, (list, tuple)):
+        _emit_list(o, out, nl)
+    elif isinstance(o, dict):
+        _emit_dict(o, out, nl)
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _emit_dict(d, out, nl):
+    if not d:
+        out.append("{}")
+        return
+    inner = nl + "  "
+    comma = "," + inner
+    sep = "{" + inner
+    for k, v in d.items():
+        key = encode_basestring_ascii(k if type(k) is str else _key(k))
+        t = type(v)
+        if t is str:
+            out.append(f"{sep}{key}: {encode_basestring_ascii(v)}")
+        elif t is int:
+            out.append(f"{sep}{key}: {v}")
+        elif t is float:
+            out.append(f"{sep}{key}: {_float(v)}")
+        else:
+            out.append(f"{sep}{key}: ")
+            _emit(v, out, inner)
+        sep = comma
+    out.append(nl + "}")
+
+
+def _emit_list(items, out, nl):
+    if not items:
+        out.append("[]")
+        return
+    inner = nl + "  "
+    comma = "," + inner
+    sep = "[" + inner
+    for v in items:
+        t = type(v)
+        if t is str:
+            out.append(sep + encode_basestring_ascii(v))
+        elif t is int:
+            out.append(f"{sep}{v}")
+        elif t is float:
+            out.append(sep + _float(v))
+        else:
+            out.append(sep)
+            _emit(v, out, inner)
+        sep = comma
+    out.append(nl + "]")
+
+
+def _key(k) -> str:
+    """A non-str dict key as json coerces it, before quoting."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float(k)
+    if k is True:
+        return "true"
+    if k is False:
+        return "false"
+    if k is None:
+        return "null"
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _circular(value) -> bool:
+    """Whether a container holds itself (json raises ValueError for that)."""
+    on_path, stack = set(), [(value, False)]
+    while stack:
+        o, leaving = stack.pop()
+        if leaving:
+            on_path.discard(id(o))
+        elif isinstance(o, (list, tuple, dict)):
+            if id(o) in on_path:
+                return True
+            on_path.add(id(o))
+            stack.append((o, True))
+            stack.extend((v, False) for v in (o.values() if isinstance(o, dict) else o))
+    return False
 
 
 # -------------------------------------------------------------- deserialize
@@ -247,7 +379,6 @@ def deserialize_scene(source) -> Scene:
             f"expected {FORMAT_VERSION!r}", "version")
 
     scene = Scene(doc.get("id"))
-    seen_ids = [scene.id]
     for i, ds_doc in enumerate(doc.get("datasets", [])):
         scene.datasets[ds_doc["name"]] = _parse_dataset(ds_doc, f"datasets[{i}]")
 
@@ -256,9 +387,8 @@ def deserialize_scene(source) -> Scene:
         el_id = _id(el_doc, path)
         if el_id in scene.elements:
             raise SceneFormatError(f"duplicate element id {el_id!r}", path)
-        seen_ids.append(el_id)
         if el_doc.get("kind") == "mark":
-            el = _parse_mark(el_doc, path, seen_ids)
+            el = _parse_mark(el_doc, path)
         elif el_doc.get("kind") in GROUP_KINDS:
             el = _parse_group(el_doc, path)
         else:
@@ -274,7 +404,6 @@ def deserialize_scene(source) -> Scene:
         ps_id = _id(ps_doc, path)
         if ps_id in scene.peer_sets:
             raise SceneFormatError(f"duplicate peer set id {ps_id!r}", path)
-        seen_ids.append(ps_id)
         scene.peer_sets[ps_id] = PeerSet(ps_id, _ids(ps_doc, "members", path),
                                          ps_doc.get("provenance"))
 
@@ -289,7 +418,6 @@ def deserialize_scene(source) -> Scene:
                       clamp=s_doc.get("clamp", True),
                       domain_explicit=s_doc.get("domain_explicit", False),
                       sync_group=s_doc.get("sync_group"))
-        seen_ids.append(scale.id)
         scene.scales[scale.id] = scale
 
     for i, e_doc in enumerate(doc.get("encodings", [])):
@@ -302,17 +430,14 @@ def deserialize_scene(source) -> Scene:
                 f"encoding references unknown scale {e_doc.get('scale')!r}", path)
         enc = Encoding(e_doc["id"], e_doc["peer_set"], e_doc["channel"],
                        e_doc["attribute"], e_doc["scale"], e_doc.get("aggregator"))
-        seen_ids.append(enc.id)
         scene.encodings[enc.id] = enc
         scene.scales[enc.scale].shared_by.append(enc.id)
 
     for g_doc in doc.get("sync_groups", []):
         scene.sync_groups[g_doc["id"]] = list(g_doc.get("scales", []))
-        seen_ids.append(g_doc["id"])
 
     for c_doc in doc.get("constraints", []):
         spec = ConstraintSpec(c_doc["id"], c_doc["kind"], dict(c_doc.get("params", {})))
-        seen_ids.append(spec.id)
         scene.constraints[spec.id] = spec
 
     for a_doc in doc.get("aux", []):
@@ -326,7 +451,6 @@ def deserialize_scene(source) -> Scene:
                                props=dict(a_doc.get("props", {})))
         if aux.scale is not None and aux.scale not in scene.scales:
             raise SceneFormatError(f"aux references unknown scale {aux.scale!r}")
-        seen_ids.append(aux.id)
         scene.aux.append(aux)
 
     view = doc.get("view", {})
@@ -339,7 +463,7 @@ def deserialize_scene(source) -> Scene:
     for name, check in STRUCTURAL_CHECKS:
         for owner, message in check(scene):
             raise SceneFormatError(f"{name}: {message}", _record_path(scene, owner))
-    scene.bump_counter(seen_ids)
+    scene.bump_counter()
     scene.dirty.clear()
     return scene
 
@@ -355,7 +479,7 @@ def _record_path(scene, owner) -> str:
     return ""
 
 
-def _parse_mark(doc, path, seen_ids) -> Mark:
+def _parse_mark(doc, path) -> Mark:
     mark_type = doc.get("type")
     if mark_type not in MARK_TYPES:
         raise SceneFormatError(f"unknown mark type {mark_type!r}", path)
@@ -373,14 +497,12 @@ def _parse_mark(doc, path, seen_ids) -> Mark:
                         _field(v_doc, "y", v_path, _NUMBER, 0.0),
                         _parse_scope(v_doc, v_path),
                         v_doc.get("peer_set"))
-        seen_ids.append(vertex.id)
         mark.vertices.append(vertex)
     for j, s_doc in enumerate(doc.get("segments", [])):
         s_path = f"{path}.segments[{j}]"
         seg = Segment(_id(s_doc, s_path), tuple(_ids(s_doc, "endpoints", s_path)),
                       s_doc.get("kind", "line"),
                       dict(_field(s_doc, "channels", s_path, dict, {})))
-        seen_ids.append(seg.id)
         mark.segments.append(seg)
     return mark
 

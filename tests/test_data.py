@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,19 @@ class TestImportNetwork:
     def test_dangling_link(self):
         doc = {"nodes": [{"id": "a"}], "links": [{"source": "a", "target": "Z"}]}
         with pytest.raises(DataError, match="link 0"):
+            vz.import_network(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"nodes": [{"id": 1}, 1], "links": []}, "network node 1 is not an object"),
+        ({"nodes": ["abc"], "links": []}, "network node 0 is not an object"),
+        ({"nodes": [{"id": 1}, {"name": "x"}], "links": []}, "network node 1 missing 'id'"),
+        ({"nodes": [{"id": [1]}], "links": []}, "network node 0 has an unhashable 'id'"),
+        ({"nodes": [{"id": 1}], "links": [[1, 1]]}, "network link 0 is not an object"),
+        ({"nodes": [{"id": 1}], "links": [{"source": 1, "target": {"id": 1}}]},
+         "link 0 references a node id that does not exist"),
+    ])
+    def test_malformed_node_or_link(self, doc, message):
+        with pytest.raises(DataError, match=re.escape(message)):
             vz.import_network(json.dumps(doc).encode())
 
     def test_cycle_is_not_a_tree(self):

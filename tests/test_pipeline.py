@@ -182,7 +182,8 @@ class TestCliRender:
         assert main(["render", "--pipeline", str(bad)]) == 2
 
     @pytest.mark.parametrize("name, text", [("short_row.csv", "a,b\n1,2\n3\n"),
-                                            ("no_links.json", '{"nodes": []}')])
+                                            ("no_links.json", '{"nodes": []}'),
+                                            ("nodes.json", '{"nodes": [1], "links": []}')])
     def test_malformed_data_file_exit_2(self, tmp_path, capsys, name, text):
         data = tmp_path / name
         data.write_text(text)

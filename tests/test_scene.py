@@ -175,6 +175,15 @@ class TestChannels:
         s.set_channel(leaf, "width", 10)
         assert s.get_channel(leaf, "width") == 10
 
+    def test_unchanged_value_runs_no_pass(self):
+        s, parts = build_diverging_bar()
+        row = s.elements[parts["rows"].members[1]]
+        before, report = vz.serialize_scene(s), s.last_report
+        s.set_channel(row, "x", s.get_channel(row, "x"))
+        assert s.last_report is report
+        assert not s.dirty.any()
+        assert vz.serialize_scene(s) == before
+
     def test_rect_bbox_matches_channels(self):
         s = vz.create_scene()
         rect = s.create_mark("rectangle", {"x": 7, "y": 9, "width": 41, "height": 13})

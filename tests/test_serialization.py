@@ -1,15 +1,19 @@
 import copy
+import enum
 import functools
 import json
+import math
 import re
+from collections import OrderedDict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vizscene as vz
 from vizscene.elements import DataScope
 from vizscene.errors import SceneFormatError
+from vizscene.sceneio import dump_json
 from vizscene.validate import STRUCTURAL_CHECKS
 
 from conftest import build_diverging_bar, build_gallery_scenes
@@ -26,6 +30,11 @@ class TestSerialize:
     def test_serialize_deterministic(self):
         s, _ = build_diverging_bar()
         assert vz.serialize_scene(s) == vz.serialize_scene(s)
+
+    def test_document_is_json_dumps_text(self):
+        s, _ = build_diverging_bar()
+        text = vz.serialize_scene(s)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
     def test_datasets_inlined_and_scopes_by_index(self):
         s, parts = build_diverging_bar()
@@ -86,6 +95,16 @@ class TestRoundTrip:
         restored = vz.deserialize_scene(vz.serialize_scene(s))
         new_mark = restored.create_mark("circle")
         assert new_mark.id not in s.elements
+
+    @pytest.mark.parametrize("table, record", [
+        ("scales", {"id": "scale-9000", "kind": "linear", "domain": [0, 1], "range": [0, 1]}),
+        ("aux", {"id": "aux-9000", "kind": "annotation", "text": "note", "x": 0, "y": 0}),
+    ])
+    def test_fresh_ids_continue_past_a_scale_or_aux_suffix(self, table, record):
+        s, _ = build_diverging_bar()
+        doc = json.loads(vz.serialize_scene(s))
+        doc[table].append(record)
+        assert vz.deserialize_scene(json.dumps(doc)).make_id("mark") == "mark-9001"
 
 
 class TestDeserializeErrors:
@@ -359,3 +378,70 @@ def test_a_mutated_gallery_document_that_loads_passes_every_structural_check(dat
         return
     for name, check in STRUCTURAL_CHECKS:
         assert list(check(scene)) == [], name
+
+
+# ------------------------------------------------------------ the emitter
+
+
+class _Int(enum.IntEnum):
+    TWO = 2
+
+
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not this"
+
+
+class _List(list):
+    pass
+
+
+_TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ["", "\x00\x1f\x7f\"\\/\n\t", "é☃😀", "\ud800 lone surrogate"])
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=-(2 ** 200), max_value=2 ** 200) | st.floats() | _TEXT)
+_KEYS = _TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_KEYS, kids, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_JSON_VALUES)
+@example([{}, [], (), {"a": [[], {}]}, [[[]]]])
+@example({"z": -0.0, "n": math.nan, "p": math.inf, "m": -math.inf, "b": [True, 1, False, 0]})
+@example({7: "int", 2.5: "float", -0.0: "negative zero", math.nan: "nan", True: "bool",
+          None: "none", "s": 10 ** 30})
+def test_dump_json_is_json_dumps_with_indent(value):
+    assert dump_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    [_Int.TWO, {_Int.TWO: _Str("x")}, _Float(0.5), _List([1, (2,)])],
+    OrderedDict([("b", 1), ("a", OrderedDict())]),
+    {_Str("k"): _Float("inf"), 3: [_List(), (), _Str("\u2603")]},
+], ids=["int-enum-str-float-list", "ordered-dict", "subclass-keys"])
+def test_dump_json_follows_json_on_subclasses(value):
+    assert dump_json(value) == json.dumps(value, indent=2)
+
+
+def _circular():
+    loop = {"a": [1]}
+    loop["a"].append(loop)
+    return loop
+
+
+@pytest.mark.parametrize("value", [
+    {"ok": 1, "bad": object()}, [1, {2j: "key"}], {(1, 2): "tuple key"}, _circular(),
+], ids=["value", "complex-key", "tuple-key", "circular"])
+def test_dump_json_raises_as_json_dumps(value):
+    with pytest.raises((TypeError, ValueError)) as want:
+        json.dumps(value, indent=2)
+    with pytest.raises(want.type, match=re.escape(str(want.value))):
+        dump_json(value)
