@@ -77,7 +77,7 @@ POSITION_CHANNELS = ("x", "y")
 TEXT_WIDTH_FACTOR = 0.6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataScope:
     """The data items a visual element represents."""
 
@@ -113,7 +113,7 @@ def union_scopes(scopes) -> DataScope | None:
                      first.table)
 
 
-@dataclass
+@dataclass(slots=True)
 class Vertex:
     id: str
     x: float = 0.0
@@ -122,7 +122,7 @@ class Vertex:
     peer_set: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Segment:
     id: str
     endpoints: tuple  # (vertex id, vertex id)
@@ -132,7 +132,7 @@ class Segment:
     peer_set: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Mark:
     id: str
     type: str
@@ -153,7 +153,7 @@ class Mark:
         return "mark"
 
 
-@dataclass
+@dataclass(slots=True)
 class Group:
     id: str
     group_kind: str  # glyph | collection | composite
@@ -195,21 +195,28 @@ def check_channel(el, channel: str):
     raise ChannelError(f"channel {channel!r} is not valid for {owner}")
 
 
+# the channels each derived-geometry mark type's vertices are computed from;
+# a write to any other channel leaves the vertices as they are
+GEOMETRY_CHANNELS = {"rectangle": ("width", "height"), "band": ("width", "height"),
+                     "line": ("x", "y", "x2", "y2")}
+
+
 def sync_geometry(mark: Mark, make_id):
     """Keep derived vertex/segment lists consistent with the mark's channels.
 
     Rectangles and bands carry their four corners; lines carry both endpoints.
     Vertex ids are allocated once and reused on later size changes.
     """
-    if mark.type in ("rectangle", "band"):
-        w = mark.channels.get("width", 0)
-        h = mark.channels.get("height", 0)
-        corners = [(0, 0), (w, 0), (w, h), (0, h)]
-        _sync_ring(mark, corners, make_id, close=True)
-    elif mark.type == "line":
-        dx = mark.channels.get("x2", 0) - mark.channels.get("x", 0)
-        dy = mark.channels.get("y2", 0) - mark.channels.get("y", 0)
-        _sync_ring(mark, [(0, 0), (dx, dy)], make_id, close=False)
+    channels = GEOMETRY_CHANNELS.get(mark.type)
+    if channels is None:
+        return
+    values = [mark.channels.get(c, 0) for c in channels]
+    if mark.type == "line":
+        x, y, x2, y2 = values
+        _sync_ring(mark, [(0, 0), (x2 - x, y2 - y)], make_id, close=False)
+    else:
+        w, h = values
+        _sync_ring(mark, [(0, 0), (w, 0), (w, h), (0, h)], make_id, close=True)
 
 
 def _sync_ring(mark: Mark, points, make_id, close: bool):

@@ -336,8 +336,10 @@ def update_layout_param_peers(scene, group, param: str, value) -> None:
                            for peer in scene.peers_of(group)])
 
 
-def evaluate_layout(scene, group: Group):
-    """Recompute member positions; returns the set of member ids that moved."""
+def evaluate_layout(scene, group: Group, boxes):
+    """Recompute member positions; returns the set of member ids that moved.
+    ``boxes`` are the members' current boxes in the group's frame, in member
+    order."""
     layout = group.layout
     members = [scene.elements[m] for m in group.members]
     if layout is None or not members:
@@ -352,7 +354,6 @@ def evaluate_layout(scene, group: Group):
                 moved.add(member.id)
         return moved
 
-    boxes = [scene.bbox_in_parent(m) for m in members]
     sizes = [(b[2] - b[0], b[3] - b[1]) for b in boxes]
     if kind == "grid":
         targets = compute_grid(sizes, layout)

@@ -14,6 +14,7 @@ import heapq
 
 from .elements import Group, Mark
 from .errors import VizSceneError
+from .scene import group_extent
 
 MAX_CONSTRAINT_ROUNDS_PAD = 2
 
@@ -145,11 +146,16 @@ def run_propagation(scene) -> PropagationReport:
             gid = heapq.heappop(heap)[2]
             pending.discard(gid)
             group = scene.elements[gid]
-            before = scene.bbox_in_parent(group)
-            layout_moved = evaluate_layout(scene, group)
+            # the group's extent before and after, from its members' boxes:
+            # a layout moves members, so only the moved ones are measured again
+            members = [scene.elements[m] for m in group.members]
+            boxes = [scene.bbox_in_parent(m) for m in members]
+            before = group_extent(group, boxes)
+            layout_moved = evaluate_layout(scene, group, boxes)
             report.evaluated.append(f"layout:{gid}")
             moved |= layout_moved
-            after = scene.bbox_in_parent(group)
+            after = group_extent(group, [scene.bbox_in_parent(m) if m.id in layout_moved else b
+                                         for m, b in zip(members, boxes)])
             size_changed = (abs((after[2] - after[0]) - (before[2] - before[0])) > 1e-12
                             or abs((after[3] - after[1]) - (before[3] - before[1])) > 1e-12)
             if size_changed:

@@ -12,9 +12,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .data import Table, aggregate
-from .elements import (GROUP_ID_PREFIX, MARK_DEFAULTS, POSITION_CHANNELS, SIZE_CHANNELS,
-                       VERTEX_MARK_TYPES, DataScope, Group, Mark, Segment, Vertex,
-                       check_channel, mark_bbox, sync_geometry, translate_mark,
+from .elements import (GEOMETRY_CHANNELS, GROUP_ID_PREFIX, MARK_DEFAULTS, POSITION_CHANNELS,
+                       SIZE_CHANNELS, VERTEX_MARK_TYPES, DataScope, Group, Mark, Segment,
+                       Vertex, check_channel, mark_bbox, sync_geometry, translate_mark,
                        union_scopes)
 from .errors import ChannelError, SceneError
 
@@ -309,11 +309,7 @@ class Scene:
     def bbox_in_parent(self, el):
         if isinstance(el, Mark):
             return mark_bbox(el)
-        if not el.members:
-            return (el.tx, el.ty, el.tx, el.ty)
-        boxes = [self.bbox_in_parent(self.elements[m]) for m in el.members]
-        return (el.tx + min(b[0] for b in boxes), el.ty + min(b[1] for b in boxes),
-                el.tx + max(b[2] for b in boxes), el.ty + max(b[3] for b in boxes))
+        return group_extent(el, [self.bbox_in_parent(self.elements[m]) for m in el.members])
 
     def ancestor_offset(self, el):
         ox = oy = 0.0
@@ -483,8 +479,9 @@ class Scene:
             return False
         if isinstance(el, Mark):
             el.channels[channel] = value
-            sync_geometry(el, self.make_id)
-            self.index_mark(el)
+            if channel in GEOMETRY_CHANNELS.get(el.type, ()):
+                sync_geometry(el, self.make_id)
+                self.index_mark(el)
         elif isinstance(el, Vertex):
             setattr(el, channel, value)
         elif channel not in POSITION_CHANNELS:
@@ -649,6 +646,15 @@ class Scene:
             self.view.field_of_view = (value[0], value[1])
         else:
             raise SceneError(f"unknown view property {prop!r}")
+
+
+def group_extent(group: Group, boxes) -> tuple:
+    """A group's box in its parent's frame, from its members' boxes in its own
+    frame (in member order)."""
+    if not boxes:
+        return (group.tx, group.ty, group.tx, group.ty)
+    return (group.tx + min(b[0] for b in boxes), group.ty + min(b[1] for b in boxes),
+            group.tx + max(b[2] for b in boxes), group.ty + max(b[3] for b in boxes))
 
 
 def scopes_disjoint(scopes) -> bool:

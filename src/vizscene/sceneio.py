@@ -94,36 +94,6 @@ def _element_doc(el) -> dict:
     return doc
 
 
-def scene_document(scene: Scene) -> dict:
-    if scene.dirty.any():
-        scene.propagate()
-    doc = {
-        "version": FORMAT_VERSION,
-        "id": scene.id,
-        "datasets": [_dataset_doc(n, d) for n, d in scene.datasets.items()],
-        "roots": list(scene.roots),
-        "elements": [_element_doc(e) for e in scene.elements.values()],
-        "peer_sets": [
-            {k: v for k, v in (("id", ps.id), ("members", list(ps.members)),
-                               ("provenance", ps.provenance)) if v is not None}
-            for ps in scene.peer_sets.values()],
-        "scales": [_scale_doc(s) for s in scene.scales.values()],
-        "encodings": [
-            {k: v for k, v in (("id", e.id), ("peer_set", e.peer_set),
-                               ("channel", e.channel), ("attribute", e.attribute),
-                               ("scale", e.scale), ("aggregator", e.aggregator))
-             if v is not None}
-            for e in scene.encodings.values()],
-        "sync_groups": [{"id": gid, "scales": list(ids)}
-                        for gid, ids in scene.sync_groups.items()],
-        "constraints": [{"id": c.id, "kind": c.kind, "params": c.params}
-                        for c in scene.constraints.values()],
-        "aux": [_aux_doc(a) for a in scene.aux],
-        "view": _view_doc(scene.view),
-    }
-    return doc
-
-
 def _scale_doc(s: Scale) -> dict:
     doc = {"id": s.id, "kind": s.kind, "domain": list(s.domain),
            "range": list(s.range)}
@@ -162,8 +132,60 @@ def _view_doc(view: ViewConfig) -> dict:
     return doc
 
 
+def _peer_set_doc(ps: PeerSet) -> dict:
+    return {k: v for k, v in (("id", ps.id), ("members", list(ps.members)),
+                              ("provenance", ps.provenance)) if v is not None}
+
+
+def _encoding_doc(e: Encoding) -> dict:
+    return {k: v for k, v in (("id", e.id), ("peer_set", e.peer_set),
+                              ("channel", e.channel), ("attribute", e.attribute),
+                              ("scale", e.scale), ("aggregator", e.aggregator))
+            if v is not None}
+
+
+# The document's top-level fields in order: (key, whether the value is a list
+# written one record at a time, the value or records of a scene).
+_DOCUMENT = (
+    ("version", False, lambda scene: FORMAT_VERSION),
+    ("id", False, lambda scene: scene.id),
+    ("datasets", True, lambda scene: (_dataset_doc(n, d) for n, d in scene.datasets.items())),
+    ("roots", True, lambda scene: scene.roots),
+    ("elements", True, lambda scene: map(_element_doc, scene.elements.values())),
+    ("peer_sets", True, lambda scene: map(_peer_set_doc, scene.peer_sets.values())),
+    ("scales", True, lambda scene: map(_scale_doc, scene.scales.values())),
+    ("encodings", True, lambda scene: map(_encoding_doc, scene.encodings.values())),
+    ("sync_groups", True, lambda scene: ({"id": gid, "scales": list(ids)}
+                                         for gid, ids in scene.sync_groups.items())),
+    ("constraints", True, lambda scene: ({"id": c.id, "kind": c.kind, "params": c.params}
+                                         for c in scene.constraints.values())),
+    ("aux", True, lambda scene: map(_aux_doc, scene.aux)),
+    ("view", False, lambda scene: _view_doc(scene.view)),
+)
+
+
 def serialize_scene(scene: Scene) -> str:
-    return dump_json(scene_document(scene)) + "\n"
+    """The scene's document as ``json.dumps(document, indent=2)`` writes it,
+    plus a newline. Each record is built and turned into text before the next
+    is built, so the text is never held next to a whole document tree."""
+    if scene.dirty.any():
+        scene.propagate()
+    out = []
+    sep = "{\n  "
+    for key, records, value in _DOCUMENT:
+        out.append(f'{sep}"{key}": ')
+        sep = ",\n  "
+        if not records:
+            out.append(_dump(value(scene), "\n  "))
+            continue
+        item_sep = "[\n    "
+        for record in value(scene):
+            out.append(item_sep)
+            out.append(_dump(record, "\n    "))
+            item_sep = ",\n    "
+        out.append("\n  ]" if item_sep == ",\n    " else "[]")
+    out.append("\n}\n")
+    return "".join(out)
 
 
 # With an indent, json.dumps leaves its C encoder for a generic pure-Python
@@ -177,9 +199,14 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def dump_json(value) -> str:
     """The text ``json.dumps`` returns for value with an indent of 2."""
+    return _dump(value, "\n")
+
+
+def _dump(value, nl) -> str:
+    """dump_json's text for a value on a line that nl begins."""
     out = []
     try:
-        _emit(value, out, "\n")
+        _emit(value, out, nl)
     except RecursionError:
         if _circular(value):
             raise ValueError("Circular reference detected") from None
@@ -301,7 +328,9 @@ def _circular(value) -> bool:
 
 
 # Readers for the fields the structural checks hash or compute with; a
-# field's path is only formatted on an error.
+# field's path is only formatted on an error. `memo` maps each str and scope
+# key a load met to its first object, so equal values become one (see
+# deserialize_scene).
 
 
 def _id(doc, path) -> str:
@@ -312,12 +341,13 @@ def _id(doc, path) -> str:
     return record_id
 
 
-def _ids(doc, key, path="") -> list:
+def _ids(doc, key, memo, path="") -> list:
     value = doc.get(key, [])
     if not isinstance(value, list) or not set(map(type, value)) <= {str}:
         raise SceneFormatError("expected a list of id strings",
                                f"{path}.{key}" if path else key)
-    return list(value)
+    share = memo.setdefault
+    return [share(v, v) for v in value]
 
 
 def _field(doc, key, path, types, default=None):
@@ -327,11 +357,17 @@ def _field(doc, key, path, types, default=None):
     return value
 
 
+def _channels(doc, path, memo) -> dict:
+    share = memo.setdefault
+    return {k: share(v, v) if type(v) is str else v
+            for k, v in _field(doc, "channels", path, dict, {}).items()}
+
+
 _ID_OR_NONE = (str, type(None))
 _NUMBER = (int, float)
 
 
-def _parse_scope(record, path):
+def _parse_scope(record, path, memo):
     doc = record.get("scope")
     if doc is None:
         return None
@@ -344,27 +380,40 @@ def _parse_scope(record, path):
             and set(map(type, indices)) <= {int}):
         raise SceneFormatError("a scope needs dataset and table names and integer indices",
                                f"{path}.scope")
-    return DataScope(name, tuple(indices), table)
+    key = (name, table, tuple(indices))
+    scope = memo.get(key)
+    if scope is None:
+        scope = memo[key] = DataScope(memo.setdefault(name, name), key[2],
+                                      memo.setdefault(table, table))
+    return scope
 
 
-def _parse_dataset(doc, path):
+def _parse_dataset(doc, path, memo):
     attributes = [AttributeDef(a["name"], a.get("kind", "nominal"),
                                a.get("declared_order"))
                   for a in doc.get("attributes", [])]
+    name = memo.setdefault(doc["name"], doc["name"])
     if doc.get("kind") == "network":
-        return Network(doc["name"], attributes, list(doc.get("items", [])),
+        return Network(name, attributes, list(doc.get("items", [])),
                        list(doc.get("links", [])), doc.get("id_attribute", "id"))
-    return Table(doc["name"], attributes, list(doc.get("items", [])))
+    return Table(name, attributes, list(doc.get("items", [])))
 
 
 def deserialize_scene(source) -> Scene:
     """Rebuild a live scene from a document produced by serialize_scene.
 
+    Equal strings among ids, dataset, table and peer-set names, kinds and
+    channel values become one object, and so do equal data scopes. When
+    ``source`` is text, each element record is let go once its element is
+    built; a document passed as a dict is left as it is. A document without
+    an id loads as ``scene-1``.
+
     Raises SceneFormatError on a record it cannot build, or on the first
     problem of the structural checks, with the path of the record."""
+    parsed = isinstance(source, (bytes, str))
     if isinstance(source, bytes):
         source = source.decode("utf-8")
-    if isinstance(source, str):
+    if parsed:
         try:
             doc = json.loads(source)
         except json.JSONDecodeError as e:
@@ -378,33 +427,43 @@ def deserialize_scene(source) -> Scene:
             f"unsupported format version {doc.get('version')!r}; "
             f"expected {FORMAT_VERSION!r}", "version")
 
-    scene = Scene(doc.get("id"))
+    memo = {}
+    share = memo.setdefault
+    scene = Scene(doc.get("id") or "scene-1")
     for i, ds_doc in enumerate(doc.get("datasets", [])):
-        scene.datasets[ds_doc["name"]] = _parse_dataset(ds_doc, f"datasets[{i}]")
+        ds = _parse_dataset(ds_doc, f"datasets[{i}]", memo)
+        scene.datasets[ds.name] = ds
 
-    for i, el_doc in enumerate(doc.get("elements", [])):
+    el_docs = doc.get("elements", [])
+    for i, el_doc in enumerate(el_docs):
         path = f"elements[{i}]"
         el_id = _id(el_doc, path)
+        el_id = share(el_id, el_id)
         if el_id in scene.elements:
             raise SceneFormatError(f"duplicate element id {el_id!r}", path)
         if el_doc.get("kind") == "mark":
-            el = _parse_mark(el_doc, path)
+            el = _parse_mark(el_doc, path, el_id, memo)
         elif el_doc.get("kind") in GROUP_KINDS:
-            el = _parse_group(el_doc, path)
+            el = _parse_group(el_doc, path, el_id, memo)
         else:
             raise SceneFormatError(f"unknown element kind {el_doc.get('kind')!r}", path)
-        el.parent = _field(el_doc, "parent", path, _ID_OR_NONE)
-        el.peer_set = _field(el_doc, "peer_set", path, _ID_OR_NONE)
+        parent = _field(el_doc, "parent", path, _ID_OR_NONE)
+        el.parent = share(parent, parent)
+        peer_set = _field(el_doc, "peer_set", path, _ID_OR_NONE)
+        el.peer_set = share(peer_set, peer_set)
         el.z_index = el_doc.get("z_index", 0)
         scene.adopt(el)
-    scene.roots = _ids(doc, "roots")
+        if parsed:
+            el_docs[i] = None
+    scene.roots = _ids(doc, "roots", memo)
 
     for i, ps_doc in enumerate(doc.get("peer_sets", [])):
         path = f"peer_sets[{i}]"
         ps_id = _id(ps_doc, path)
+        ps_id = share(ps_id, ps_id)
         if ps_id in scene.peer_sets:
             raise SceneFormatError(f"duplicate peer set id {ps_id!r}", path)
-        scene.peer_sets[ps_id] = PeerSet(ps_id, _ids(ps_doc, "members", path),
+        scene.peer_sets[ps_id] = PeerSet(ps_id, _ids(ps_doc, "members", memo, path),
                                          ps_doc.get("provenance"))
 
     for i, s_doc in enumerate(doc.get("scales", [])):
@@ -479,38 +538,42 @@ def _record_path(scene, owner) -> str:
     return ""
 
 
-def _parse_mark(doc, path) -> Mark:
+def _parse_mark(doc, path, mark_id, memo) -> Mark:
     mark_type = doc.get("type")
     if mark_type not in MARK_TYPES:
         raise SceneFormatError(f"unknown mark type {mark_type!r}", path)
-    channels = dict(_field(doc, "channels", path, dict, {}))
+    share = memo.setdefault
+    channels = _channels(doc, path, memo)
     for c in ("width", "height"):
         _field(channels, c, f"{path}.channels", _NUMBER, 0)
-    mark = Mark(doc["id"], mark_type, channels,
+    mark = Mark(mark_id, share(mark_type, mark_type), channels,
                 source_node=doc.get("source_node"),
                 target_node=doc.get("target_node"),
                 tree_parent=doc.get("tree_parent"))
-    mark.data_scope = _parse_scope(doc, path)
+    mark.data_scope = _parse_scope(doc, path, memo)
     for j, v_doc in enumerate(doc.get("vertices", [])):
         v_path = f"{path}.vertices[{j}]"
-        vertex = Vertex(_id(v_doc, v_path), _field(v_doc, "x", v_path, _NUMBER, 0.0),
+        vertex_id = _id(v_doc, v_path)
+        peer_set = v_doc.get("peer_set")
+        vertex = Vertex(share(vertex_id, vertex_id), _field(v_doc, "x", v_path, _NUMBER, 0.0),
                         _field(v_doc, "y", v_path, _NUMBER, 0.0),
-                        _parse_scope(v_doc, v_path),
-                        v_doc.get("peer_set"))
+                        _parse_scope(v_doc, v_path, memo),
+                        share(peer_set, peer_set) if type(peer_set) is str else peer_set)
         mark.vertices.append(vertex)
     for j, s_doc in enumerate(doc.get("segments", [])):
         s_path = f"{path}.segments[{j}]"
-        seg = Segment(_id(s_doc, s_path), tuple(_ids(s_doc, "endpoints", s_path)),
-                      s_doc.get("kind", "line"),
-                      dict(_field(s_doc, "channels", s_path, dict, {})))
+        kind = s_doc.get("kind", "line")
+        seg = Segment(_id(s_doc, s_path), tuple(_ids(s_doc, "endpoints", memo, s_path)),
+                      share(kind, kind) if type(kind) is str else kind,
+                      _channels(s_doc, s_path, memo))
         mark.segments.append(seg)
     return mark
 
 
-def _parse_group(doc, path) -> Group:
-    group = Group(doc["id"], doc["kind"],
-                  members=_ids(doc, "members", path),
-                  channels=dict(_field(doc, "channels", path, dict, {})),
+def _parse_group(doc, path, group_id, memo) -> Group:
+    group = Group(group_id, memo.setdefault(doc["kind"], doc["kind"]),
+                  members=_ids(doc, "members", memo, path),
+                  channels=_channels(doc, path, memo),
                   layout=doc.get("layout"),
                   layout_default=doc.get("layout_default", False),
                   provenance=doc.get("provenance"))
@@ -519,7 +582,7 @@ def _parse_group(doc, path) -> Group:
             and all(type(v) in _NUMBER for v in offset)):
         raise SceneFormatError(f"unexpected value {offset!r}", f"{path}.offset")
     group.tx, group.ty = offset
-    group.data_scope = _parse_scope(doc, path)
+    group.data_scope = _parse_scope(doc, path, memo)
     if group.layout is not None:
         try:
             group.layout = normalize_layout(group.layout)

@@ -9,7 +9,6 @@ trimmed, so identical scenes render byte-identical documents.
 from __future__ import annotations
 
 import json
-import math
 
 from .elements import Mark, arc_point
 from .encoding import scale_apply
@@ -372,15 +371,3 @@ def _render_gridlines(scene, em, aux, box):
             parts.append(_tag("line", {"stroke": "#ddd", "x1": p, "x2": p,
                                        "y1": box[1], "y2": box[3]}))
     em.emit("<g>" + "".join(parts) + "</g>", 2)
-
-
-def _view_matrix(view):
-    """The 2x3 affine matrix the root transform applies (for verification)."""
-    fx, fy = view.focus
-    th = math.radians(view.rotation)
-    z = view.zoom
-    # translate(f) . rotate(th) . scale(z) . translate(-f)
-    a = z * math.cos(th)
-    b = z * math.sin(th)
-    return (a, -b, fx - a * fx + b * fy,
-            b, a, fy - b * fx - a * fy)

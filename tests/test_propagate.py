@@ -72,6 +72,28 @@ class TestLayoutScheduler:
                 vz.update_layout_param(s, g, "gap", 2)
         assert list(s.elements) == before
 
+    def test_layout_extents_equal_full_subtree_walks(self, monkeypatch):
+        # the pass derives a group's extent from its members' boxes, measuring
+        # again only the members its layout moved
+        from vizscene import propagate
+        s, c1, c2, a, b, r = self._nested()
+        group_extent = propagate.group_extent
+        extents = []
+
+        def checked(group, boxes):
+            extent = group_extent(group, boxes)
+            extents.append(extent)
+            assert extent == s.bbox_in_parent(group)
+            return extent
+
+        monkeypatch.setattr(propagate, "group_extent", checked)
+        vz.update_layout_param(s, c1, "gap", 3)
+        s.set_channel(s.elements[c2.members[0]], "width", 25)
+        s.set_channel(s.elements[c2.members[1]], "height", 4)
+        assert _layouts(s.last_report) == [c2.id, b.id, r.id]
+        # a before and an after extent for each of the 3 x 3 evaluations
+        assert len(extents) == 18
+
 
 class TestConstraintFixpoint:
     def test_translating_a_row_evaluates_each_constraint_once(self):

@@ -201,6 +201,34 @@ class TestChannels:
         assert abs((bottom - top) - h) < 1e-9
 
 
+class TestGeometrySync:
+    """Only the channels a mark's derived vertices are computed from re-sync
+    them."""
+
+    @pytest.mark.parametrize("channel, value", [("fill", "#123"), ("opacity", 0.5)])
+    def test_a_paint_write_leaves_the_geometry_alone(self, channel, value, monkeypatch):
+        s = vz.create_scene()
+        rect = s.create_mark("rectangle", {"width": 40, "height": 10})
+        calls = []
+        monkeypatch.setattr(s, "index_mark", calls.append)
+        s.set_channel(rect, channel, value)
+        assert rect.channels[channel] == value
+        assert calls == []
+
+    def test_a_width_write_moves_the_far_corner(self):
+        s = vz.create_scene()
+        rect = s.create_mark("rectangle", {"width": 40, "height": 10})
+        s.set_channel(rect, "width", 55)
+        assert (rect.vertices[2].x, rect.vertices[2].y) == (55, 10)
+        assert (rect.vertices[1].x, rect.vertices[1].y) == (55, 0)
+
+    def test_a_line_x_write_moves_its_second_endpoint(self):
+        s = vz.create_scene()
+        line = s.create_mark("line", {"x": 0, "y": 0, "x2": 40, "y2": 10})
+        s.set_channel(line, "x", 15)
+        assert (line.vertices[1].x, line.vertices[1].y) == (25, 10)
+
+
 def _channel_scene():
     """A scene holding one element of each kind, keyed by the row names of
     ``CHANNEL_TABLE``."""

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import re
+import tracemalloc
 from collections import OrderedDict
 
 import pytest
@@ -105,6 +106,68 @@ class TestRoundTrip:
         doc = json.loads(vz.serialize_scene(s))
         doc[table].append(record)
         assert vz.deserialize_scene(json.dumps(doc)).make_id("mark") == "mark-9001"
+
+
+    def test_ids_after_loading_an_id_less_document_do_not_depend_on_history(self):
+        s, _ = build_diverging_bar()
+        doc = json.loads(vz.serialize_scene(s))
+        del doc["id"]
+        text = json.dumps(doc)
+        before = vz.deserialize_scene(text)
+        for _ in range(50):
+            vz.create_scene()
+        after = vz.deserialize_scene(text)
+        assert before.id == after.id == "scene-1"
+        assert before.make_id("mark") == after.make_id("mark")
+
+
+class TestBoundedMemory:
+    """Load shares equal values; save holds one record's tree at a time."""
+
+    @staticmethod
+    def _loaded_bar():
+        s, _ = build_diverging_bar()
+        return vz.deserialize_scene(vz.serialize_scene(s))
+
+    def test_member_and_parent_ids_are_the_elements_own_ids(self):
+        scene = self._loaded_bar()
+        groups = [el for el in scene.elements.values() if el.kind != "mark"]
+        assert groups
+        for group in groups:
+            for member_id in group.members:
+                assert member_id is scene.elements[member_id].id
+        for el in scene.elements.values():
+            if el.parent is not None:
+                assert el.parent is scene.elements[el.parent].id
+
+    def test_a_cell_and_its_label_share_one_scope(self):
+        scene = self._loaded_bar()
+        cells = {m.data_scope: m for m in scene.elements.values()
+                 if m.kind == "mark" and m.type == "rectangle" and m.data_scope is not None}
+        labels = [m for m in scene.elements.values() if m.kind == "mark" and m.type == "text"]
+        assert len(labels) == len(cells) == 16
+        for label in labels:
+            assert label.data_scope is cells[label.data_scope].data_scope
+
+    def test_a_document_passed_as_a_dict_is_left_as_it_was(self):
+        s, _ = build_diverging_bar()
+        doc = json.loads(vz.serialize_scene(s))
+        before = copy.deepcopy(doc)
+        vz.deserialize_scene(doc)
+        assert doc == before
+
+    def test_serialize_peak_memory_is_bounded_by_the_text(self):
+        # the text plus one record in flight; a whole document tree and its
+        # list of text pieces cost about six times the text
+        s, _ = build_diverging_bar()
+        text = vz.serialize_scene(s)
+        tracemalloc.start()
+        try:
+            assert vz.serialize_scene(s) == text
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(text)
 
 
 class TestDeserializeErrors:

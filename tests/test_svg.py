@@ -8,7 +8,7 @@ import vizscene as vz
 from vizscene.encoding import Scale
 from vizscene.errors import SceneError
 from vizscene.scene import AuxiliaryElement
-from vizscene.svgrender import _view_matrix, fmt, render_mark
+from vizscene.svgrender import fmt, render_mark
 
 from conftest import build_diverging_bar
 
@@ -22,6 +22,38 @@ REQUIRED_ATTRS = {
     "line": {"x1", "y1", "x2", "y2"},
     "path": {"d"},
 }
+
+
+def _view_matrix(view):
+    """The 2x3 affine matrix (a, c, e, b, d, f) the root transform should apply:
+    translate(focus) . rotate(rotation) . scale(zoom) . translate(-focus)."""
+    fx, fy = view.focus
+    th = math.radians(view.rotation)
+    z = view.zoom
+    a = z * math.cos(th)
+    b = z * math.sin(th)
+    return (a, -b, fx - a * fx + b * fy,
+            b, a, fy - b * fx - a * fy)
+
+
+def _transform_matrix(svg: str):
+    """The 2x3 matrix, laid out as _view_matrix's, of the root group's
+    ``transform`` attribute in rendered SVG (identity when it has none)."""
+    root_group = ET.fromstring(svg).find(f"{SVG_NS}g")
+    m = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for op, args in re.findall(r"(\w+)\(([^)]*)\)", root_group.get("transform", "")):
+        v = [float(x) for x in args.split(",")]
+        if op == "translate":
+            step = [[1, 0, v[0]], [0, 1, v[1]], [0, 0, 1]]
+        elif op == "scale":
+            step = [[v[0], 0, 0], [0, v[-1], 0], [0, 0, 1]]
+        else:
+            assert op == "rotate" and len(v) == 1
+            c, sn = math.cos(math.radians(v[0])), math.sin(math.radians(v[0]))
+            step = [[c, -sn, 0], [sn, c, 0], [0, 0, 1]]
+        m = [[sum(m[i][k] * step[k][j] for k in range(3)) for j in range(3)]
+             for i in range(3)]
+    return (*m[0], *m[1])
 
 
 def validate_svg(svg: str):
@@ -127,9 +159,13 @@ class TestRenderScene:
         rotated = vz.render(s)
         assert 'transform="rotate(90)"' in rotated
         assert rotated.replace('<g transform="rotate(90)">', "<g>") == plain
-        a, b, c, d, e, f = _view_matrix(s.view)
-        # the emitted matrix equals a 90-degree rotation
-        assert (a, b, d, e) == pytest.approx((0, -1, 1, 0), abs=1e-12)
+        assert _transform_matrix(rotated) == pytest.approx(_view_matrix(s.view), abs=1e-12)
+        # focus, rotation and zoom together compose to the oracle's matrix
+        s.set_view("focus", (10, 20))
+        s.set_view("zoom", 2)
+        s.set_view("rotation", 30)
+        assert _transform_matrix(vz.render(s)) == pytest.approx(_view_matrix(s.view),
+                                                                abs=1e-3)
 
     def test_zoom_and_focus_transform(self):
         s, _ = build_diverging_bar()
